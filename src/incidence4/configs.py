@@ -28,7 +28,9 @@ from .flats import (
     InvariantViolationError,
     Line4,
     flat2_in_hyperplane,
-    matrix_rank,
+    independent,
+    line_in_flat2,
+    vdot,
 )
 
 REJECTION_BUDGET = 20_000
@@ -140,7 +142,7 @@ def _draw_plane(rng: random.Random, bound: int) -> Flat2:
     for _ in range(REJECTION_BUDGET):
         u = _draw_nonzero(rng, bound)
         v = _draw_nonzero(rng, bound)
-        if matrix_rank([u, v]) == 2:
+        if independent(u, v):
             return Flat2(_draw_vec(rng, bound), u, v)
     raise RejectionBudgetError("could not draw independent spanning vectors")
 
@@ -212,7 +214,7 @@ def gen_star(
         d = _draw_nonzero(rng, coordinate_range)
         ln = Line4(c, d)
         for pl in planes:
-            if matrix_rank([pl.u, pl.v, ln.direction]) == 2:
+            if all(vdot(n, d) == 0 for n, _ in pl.equations):
                 return None  # direction inside the plane's span: rejected
         return ln
 
@@ -262,7 +264,7 @@ def gen_planted(spec: GeneratorSpec, seed: int | None = None):
 
     def draw_generic_line():
         ln = _draw_line(rng, bound)
-        if flat is not None and classify_contained(ln, flat):
+        if flat is not None and line_in_flat2(ln, flat):
             return None
         return ln
 
@@ -270,7 +272,7 @@ def gen_planted(spec: GeneratorSpec, seed: int | None = None):
         base = _hyperplane_point(rng, hyper, small)
         u = _hyperplane_direction(rng, hyper, small)
         v = _hyperplane_direction(rng, hyper, small)
-        if matrix_rank([u, v]) != 2:
+        if not independent(u, v):
             return None
         pl = Flat2(base, u, v)
         assert flat2_in_hyperplane(pl, hyper)
@@ -320,12 +322,6 @@ def gen_planted(spec: GeneratorSpec, seed: int | None = None):
         f"k_lines={k_lines}, k_planes={k_planes}, range={bound})",
     )
     return cfg, truth
-
-
-def classify_contained(ln: Line4, fl: Flat2) -> bool:
-    from .flats import line_in_flat2
-
-    return line_in_flat2(ln, fl)
 
 
 def _draw_hyperplane(rng: random.Random, bound: int) -> Hyperplane3:

@@ -1,17 +1,19 @@
 """Exact incidence counting, bipartite graph checks, and rich-flat detection.
 
 This module is the ground truth for every experiment: all L*S line/plane
-pairs are classified by exact linear algebra (no spatial acceleration),
-incidences are attributed to partition cells or the zero set, and the
-degree-1 degeneracy detectors enumerate every coplanar line pair and
-every cohyperplanar plane pair, so planted structures are recovered with
-neither false positives nor false negatives.
+pairs are classified exactly (no spatial acceleration), incidences are
+attributed to partition cells or the zero set, and the degree-1
+degeneracy detectors enumerate every coplanar line pair and every
+cohyperplanar plane pair, so planted structures are recovered with
+neither false positives nor false negatives.  The pair predicates run on
+the cached primitive integer forms of `incidence4.flats`; pairs are
+bucketed by integer keys, and `Flat2` / `Hyperplane3` objects (with
+their `Fraction` fields) are built only for reported results.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from .configs import ConfigurationSet
 from .flats import (
@@ -20,7 +22,8 @@ from .flats import (
     IdenticalLinesError,
     IncidenceKind,
     classify_line_flat2,
-    hyperplane_of_flat2_pair,
+    cohyperplanar_key,
+    coplanar_key,
     span_flat2_of_lines,
 )
 from .partition import PartitionPolynomial, SignVector, cell_id
@@ -206,16 +209,6 @@ def zarankiewicz_bruteforce(m: int, n: int, s: int, t: int) -> int:
     return best
 
 
-def kst_formula_holds(g: BipartiteIncidenceGraph, s: int, t: int) -> bool:
-    """Edge count against the extremal ceiling for K_{s,t}-free graphs."""
-    free, _ = kst_free_check(g, s, t)
-    if not free:
-        return True  # the bound only speaks about K_{s,t}-free graphs
-    m, n = g.left_size, g.right_size
-    bound = (s - 1) ** (1 / t) * (n - t + 1) * m ** (1 - 1 / t) + (t - 1) * m
-    return len(g.edges) <= math.ceil(bound)
-
-
 # ---------------------------------------------------------------------------
 # Rich-flat detection (degree-1 degeneracy witnesses)
 # ---------------------------------------------------------------------------
@@ -236,26 +229,28 @@ def detect_rich_flat2(lines, threshold: int) -> list[RichFlatRecord]:
     """All 2-flats containing at least `threshold` of the lines.
 
     Enumerates every coplanar line pair; two distinct lines lie in at
-    most one common 2-flat, so bucketing pairs by their canonical span
-    recovers each rich flat with its complete member list.
+    most one common 2-flat, so bucketing pairs by the integer key of
+    their span recovers each rich flat with its complete member list.
+    Any two members span the flat, so the first two build its `Flat2`.
     """
     if threshold < 2:
         raise ValueError("a rich flat needs threshold >= 2")
-    buckets: dict[Flat2, set[int]] = {}
+    buckets: dict[tuple[int, ...], set[int]] = {}
     lines = list(lines)
     for i, j in itertools.combinations(range(len(lines)), 2):
         try:
-            flat = span_flat2_of_lines(lines[i], lines[j])
+            key = coplanar_key(lines[i], lines[j])
         except IdenticalLinesError:
             raise ValueError(f"duplicate lines at indices {i} and {j}")
-        if flat is None:
+        if key is None:
             continue
-        buckets.setdefault(flat, set()).update((i, j))
-    out = [
-        RichFlatRecord(flat, tuple(sorted(members)))
-        for flat, members in buckets.items()
-        if len(members) >= threshold
-    ]
+        buckets.setdefault(key, set()).update((i, j))
+    out = []
+    for members in buckets.values():
+        if len(members) >= threshold:
+            members = tuple(sorted(members))
+            flat = span_flat2_of_lines(lines[members[0]], lines[members[1]])
+            out.append(RichFlatRecord(flat, members))
     out.sort(key=lambda r: (-r.multiplicity, r.members))
     return out
 
@@ -270,15 +265,15 @@ def detect_rich_hyperplane(planes, threshold: int) -> list[RichFlatRecord]:
     if threshold < 2:
         raise ValueError("a rich hyperplane needs threshold >= 2")
     planes = list(planes)
-    buckets: dict[Hyperplane3, set[int]] = {}
+    buckets: dict[tuple[int, ...], set[int]] = {}
     for i, j in itertools.combinations(range(len(planes)), 2):
-        h = hyperplane_of_flat2_pair(planes[i], planes[j])
-        if h is None:
+        key = cohyperplanar_key(planes[i], planes[j])
+        if key is None:
             continue
-        buckets.setdefault(h, set()).update((i, j))
+        buckets.setdefault(key, set()).update((i, j))
     out = [
-        RichFlatRecord(h, tuple(sorted(members)))
-        for h, members in buckets.items()
+        RichFlatRecord(Hyperplane3(key[:4], key[4]), tuple(sorted(members)))
+        for key, members in buckets.items()
         if len(members) >= threshold
     ]
     out.sort(key=lambda r: (-r.multiplicity, r.members))
