@@ -126,12 +126,12 @@ def integer_root(n: int, k: int) -> int:
     return x
 
 
-def rational_power(base, expo, precision_bits: int = DEFAULT_PRECISION_BITS) -> RationalInterval:
+def rational_power(base, expo) -> RationalInterval:
     """Certified enclosure of base ** expo for positive rational base.
 
     Integer exponents and perfect q-th powers evaluate exactly (a point
     interval); otherwise the q-th root is enclosed by a dyadic bracket
-    of the stated precision.
+    of DEFAULT_PRECISION_BITS bits.
     """
     base = rat(base)
     expo = rat(expo)
@@ -149,23 +149,25 @@ def rational_power(base, expo, precision_bits: int = DEFAULT_PRECISION_BITS) -> 
     den_root = integer_root(r.denominator, q)
     if num_root**q == r.numerator and den_root**q == r.denominator:
         return RationalInterval.point(Fraction(num_root, den_root))
-    # Dyadic bracket: scale so the integer root carries `precision_bits`
+    # Dyadic bracket: scale so the integer root carries DEFAULT_PRECISION_BITS
     # significant bits even for r far from 1.
-    shift = precision_bits + max(0, -(r.numerator.bit_length() - r.denominator.bit_length()) // q)
+    shift = DEFAULT_PRECISION_BITS + max(
+        0, -(r.numerator.bit_length() - r.denominator.bit_length()) // q
+    )
     scaled = (r.numerator << (q * shift)) // r.denominator
     y = integer_root(scaled, q)
     unit = Fraction(1, 1 << shift)
     return RationalInterval(y * unit, (y + 1) * unit)
 
 
-def interval_power(value, expo, precision_bits: int = DEFAULT_PRECISION_BITS) -> RationalInterval:
+def interval_power(value, expo) -> RationalInterval:
     """Monotone power of a positive interval (or rational)."""
     iv = _as_interval(value)
     expo = rat(expo)
     if iv.lo < 0:
         raise DomainError("interval power needs a nonnegative interval")
-    lo_pow = rational_power(iv.lo, expo, precision_bits)
-    hi_pow = rational_power(iv.hi, expo, precision_bits)
+    lo_pow = rational_power(iv.lo, expo)
+    hi_pow = rational_power(iv.hi, expo)
     if expo >= 0:
         return RationalInterval(lo_pow.lo, hi_pow.hi)
     return RationalInterval(hi_pow.lo, lo_pow.hi)
@@ -274,23 +276,23 @@ def _ok(value: RationalInterval, detail: str = "") -> BoundResult:
 # Individual calculators
 # ---------------------------------------------------------------------------
 
-def regime_check(L: int, S: int, factor: int = REGIME_FACTOR) -> tuple[bool, str]:
-    """factor * L^(1/2) <= S <= L / factor, decided exactly."""
-    lower_ok = factor * factor * L <= S * S
-    upper_ok = factor * S <= L
+def regime_check(L: int, S: int) -> tuple[bool, str]:
+    """REGIME_FACTOR * L^(1/2) <= S <= L / REGIME_FACTOR, decided exactly."""
+    lower_ok = REGIME_FACTOR * REGIME_FACTOR * L <= S * S
+    upper_ok = REGIME_FACTOR * S <= L
     detail = (
-        f"regime {factor}*sqrt(L) <= S: {'ok' if lower_ok else 'VIOLATED'}; "
-        f"S <= L/{factor}: {'ok' if upper_ok else 'VIOLATED'}"
+        f"regime {REGIME_FACTOR}*sqrt(L) <= S: {'ok' if lower_ok else 'VIOLATED'}; "
+        f"S <= L/{REGIME_FACTOR}: {'ok' if upper_ok else 'VIOLATED'}"
     )
     return lower_ok and upper_ok, detail
 
 
-def eval_main_bound(p: BoundParams, regime_factor: int = REGIME_FACTOR) -> BoundResult:
+def eval_main_bound(p: BoundParams) -> BoundResult:
     """L^(3/4 + eps/2) * S + L * S^(1/2 + eps), with the regime verdict."""
     L, S, eps = p.num_lines, p.num_planes, p.epsilon
     term1 = interval_power(L, Fraction(3, 4) + eps / 2) * S
     term2 = interval_power(S, Fraction(1, 2) + eps) * L
-    ok, detail = regime_check(L, S, regime_factor)
+    ok, detail = regime_check(L, S)
     return BoundResult(term1 + term2, ok, detail)
 
 
@@ -516,17 +518,13 @@ class ZeroSetCases:
     total: BoundResult
 
 
-def eval_zero_set_cases(
-    p: BoundParams,
-    c: ConstantsProfile,
-    regime_factor: int = REGIME_FACTOR,
-) -> ZeroSetCases:
+def eval_zero_set_cases(p: BoundParams, c: ConstantsProfile) -> ZeroSetCases:
     """The four zero-set cases and their sum:
 
     D L  +  D S  +  (3/8 + eps/4) C4 L^(1/2+eps) S  +  L S^(1/2+eps).
 
     The curve case carries the L >> S side condition (lines dominate
-    planes, operationalized as L >= factor * S).
+    planes, operationalized as L >= REGIME_FACTOR * S).
     """
     L, S, D, eps = p.num_lines, p.num_planes, p.degree, p.epsilon
     crossing = RationalInterval.point(D * L)
@@ -538,8 +536,8 @@ def eval_zero_set_cases(
         * S
     )
     contained = interval_power(S, Fraction(1, 2) + eps) * L
-    l_dominates = L >= regime_factor * S
-    detail = f"L >= {regime_factor}*S: {'ok' if l_dominates else 'VIOLATED'}"
+    l_dominates = L >= REGIME_FACTOR * S
+    detail = f"L >= {REGIME_FACTOR}*S: {'ok' if l_dominates else 'VIOLATED'}"
     total = crossing + tangent + curve + contained
     return ZeroSetCases(
         _ok(crossing, "no side conditions"),
@@ -560,20 +558,15 @@ class TotalAndDominance:
     max_part_ratio: Fraction
 
 
-def eval_total_and_dominance(
-    p: BoundParams,
-    c: ConstantsProfile,
-    dominance_constant: int = DOMINANCE_CONSTANT,
-    regime_factor: int = REGIME_FACTOR,
-) -> TotalAndDominance:
+def eval_total_and_dominance(p: BoundParams, c: ConstantsProfile) -> TotalAndDominance:
     """Cell sum + all five surface cases + zero-set sum, against the main
     bound: reports total/main and checks every summand stays within
-    `dominance_constant` times the main bound."""
+    DOMINANCE_CONSTANT times the main bound."""
     cells = eval_cell_decomposition(p)
     two = eval_two_surface_cases(p, c)
     three = eval_three_surface_cases(p, c)
-    zero = eval_zero_set_cases(p, c, regime_factor)
-    main = eval_main_bound(p, regime_factor)
+    zero = eval_zero_set_cases(p, c)
+    main = eval_main_bound(p)
     parts = {
         "cell_sum": cells.summed_cell_bound,
         "two_surface_points": two.point_case,
@@ -595,7 +588,7 @@ def eval_total_and_dominance(
     for r in parts.values():
         part_ratio = r.value.hi / main.value.lo
         max_ratio = max(max_ratio, part_ratio)
-        if r.value.hi > dominance_constant * main.value.lo:
+        if r.value.hi > DOMINANCE_CONSTANT * main.value.lo:
             dominance_ok = False
     failed = [name for name, r in parts.items() if not r.hypothesis_satisfied]
     hyp_ok = not failed and main.hypothesis_satisfied
@@ -608,14 +601,14 @@ def eval_total_and_dominance(
     return TotalAndDominance(total, main, ratio, parts, dominance_ok, max_ratio)
 
 
-def binomial_truncation_gap(S: int, G2, precision_bits: int = DEFAULT_PRECISION_BITS) -> RationalInterval:
+def binomial_truncation_gap(S: int, G2) -> RationalInterval:
     """Relative gap between (S+G2)^(3/2) and its two-term expansion
     S^(3/2) + (3/2) S^(1/2) G2; small whenever S dominates G2."""
     G2 = rat(G2)
     if S <= 0 or G2 < 0:
         raise DomainError("need S > 0 and G2 >= 0")
-    exact = interval_power(Fraction(S) + G2, Fraction(3, 2), precision_bits)
-    truncated = interval_power(S, Fraction(3, 2), precision_bits) + G2 * interval_power(
-        S, Fraction(1, 2), precision_bits
-    ) * Fraction(3, 2)
+    exact = interval_power(Fraction(S) + G2, Fraction(3, 2))
+    truncated = (
+        interval_power(S, Fraction(3, 2)) + G2 * interval_power(S, Fraction(1, 2)) * Fraction(3, 2)
+    )
     return (exact - truncated) / exact

@@ -23,11 +23,11 @@ from .configs import (
     GeneratorKind,
     GeneratorSpec,
     ParseError,
+    dumps_config,
     gen_generic,
     gen_planted,
     gen_star,
     load_config,
-    save_config,
 )
 from .counting import (
     classify_by_partition,
@@ -37,7 +37,6 @@ from .counting import (
     report_to_csv,
     report_to_text,
 )
-from .exactpoly import rat
 from .flats import InvariantViolationError
 from .partition import (
     PartitionParams,
@@ -69,18 +68,17 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    config_digest: str
     text: str
     exit_code: int
 
 
-def _make_configuration(spec: ExperimentSpec):
-    g = spec.generator
+def _make_configuration(g: GeneratorSpec, seed: int | None):
+    """(configuration, planted ground truth or None) drawn from `g`."""
     if g.kind is GeneratorKind.GENERIC:
-        return gen_generic(g.num_lines, g.num_planes, spec.seed, g.coordinate_range), None
+        return gen_generic(g.num_lines, g.num_planes, seed, g.coordinate_range), None
     if g.kind is GeneratorKind.STAR:
-        return gen_star(g.num_lines, g.num_planes, g.center, spec.seed), None
-    return gen_planted(g, spec.seed)
+        return gen_star(g.num_lines, g.num_planes, g.center, seed), None
+    return gen_planted(g, seed)
 
 
 def _experiment_points(cfg: ConfigurationSet, incidences) -> list:
@@ -107,6 +105,22 @@ def rich_thresholds(n: int, epsilon: Fraction) -> int:
     return max(2, math.ceil(power.hi))
 
 
+def _rich_report(cfg: ConfigurationSet, line_threshold: int, plane_threshold: int):
+    """Rich 2-flats and hyperplanes of `cfg`, plus their report lines."""
+    flats = detect_rich_flat2(cfg.lines, line_threshold)
+    hypers = detect_rich_hyperplane(cfg.planes, plane_threshold)
+    out = [f"rich_flats: {len(flats)}"]
+    out += [f"  multiplicity {r.multiplicity}: lines {list(r.members)}" for r in flats]
+    out.append(f"rich_hyperplanes: {len(hypers)}")
+    out += [f"  multiplicity {r.multiplicity}: planes {list(r.members)}" for r in hypers]
+    return flats, hypers, out
+
+
+def _bound_rows(td: bnd.TotalAndDominance) -> list:
+    """(name, result) for the main bound, every part by name, and the total."""
+    return [("main_bound", td.main)] + sorted(td.parts.items()) + [("total", td.total)]
+
+
 def run_experiment(spec: ExperimentSpec, preloaded: ConfigurationSet | None = None) -> ExperimentReport:
     """Generate (or take a preloaded configuration), count, optionally
     partition, detect rich flats, evaluate every bound, and compare the
@@ -114,7 +128,7 @@ def run_experiment(spec: ExperimentSpec, preloaded: ConfigurationSet | None = No
     if preloaded is not None:
         cfg, truth = preloaded, None
     else:
-        cfg, truth = _make_configuration(spec)
+        cfg, truth = _make_configuration(spec.generator, spec.seed)
     incidences = count_incidences(cfg)
     part = None
     if spec.partition is not None:
@@ -153,22 +167,16 @@ def run_experiment(spec: ExperimentSpec, preloaded: ConfigurationSet | None = No
     if part is not None:
         add("")
         add("## partition")
-        add(partition_to_text(part, spec.partition).rstrip())
+        add(partition_to_text(part).rstrip())
 
     add("")
     add("## degeneracy")
     line_thr = rich_thresholds(cfg.num_lines, spec.epsilon)
     plane_thr = rich_thresholds(cfg.num_planes, spec.epsilon)
-    flats = detect_rich_flat2(cfg.lines, line_thr) if cfg.num_lines >= 2 else []
-    hypers = detect_rich_hyperplane(cfg.planes, plane_thr) if cfg.num_planes >= 2 else []
+    flats, hypers, rich_lines = _rich_report(cfg, line_thr, plane_thr)
     add(f"rich_flat_threshold: {line_thr}")
     add(f"rich_hyperplane_threshold: {plane_thr}")
-    add(f"rich_flats: {len(flats)}")
-    for recd in flats:
-        add(f"  multiplicity {recd.multiplicity}: lines {list(recd.members)}")
-    add(f"rich_hyperplanes: {len(hypers)}")
-    for recd in hypers:
-        add(f"  multiplicity {recd.multiplicity}: planes {list(recd.members)}")
+    lines_out += rich_lines
     if truth is not None:
         planted_flat_found = truth.flat is None or any(r.flat == truth.flat for r in flats)
         planted_hyp_found = truth.hyperplane is None or any(
@@ -184,9 +192,7 @@ def run_experiment(spec: ExperimentSpec, preloaded: ConfigurationSet | None = No
         degree = max(2, part.degree if part is not None else spec.degree)
         params = BoundParams(cfg.num_lines, cfg.num_planes, degree, spec.epsilon)
         total = bnd.eval_total_and_dominance(params, spec.constants)
-        rows = [("main_bound", total.main)] + sorted(total.parts.items())
-        rows.append(("total", total.total))
-        for name, res in rows:
+        for name, res in _bound_rows(total):
             add(
                 f"{name}: value={float(res.mid):.6g} "
                 f"hypothesis={'ok' if res.hypothesis_satisfied else 'out-of-regime'}"
@@ -225,10 +231,10 @@ def run_experiment(spec: ExperimentSpec, preloaded: ConfigurationSet | None = No
         exit_code = EXIT_INVARIANT
     elif spec.strict and failed_hypotheses:
         exit_code = EXIT_STRICT_HYPOTHESIS
-    return ExperimentReport(cfg.digest(), "\n".join(lines_out) + "\n", exit_code)
+    return ExperimentReport("\n".join(lines_out) + "\n", exit_code)
 
 
-def partition_to_text(part: PartitionPolynomial, params: PartitionParams | None = None) -> str:
+def partition_to_text(part: PartitionPolynomial) -> str:
     """Dump: rounds, slack, achieved degree, and each factor's sparse terms."""
     out = [
         f"rounds: {part.rounds}",
@@ -256,40 +262,30 @@ def grid_rows(l_values, s_values_for, d_values, eps_values, constants: Constants
                 for eps in sorted(eps_values):
                     params = BoundParams(L, S, D, eps)
                     td = bnd.eval_total_and_dominance(params, constants)
-                    cells = td.parts["cell_sum"]
-                    in_regime = td.main.hypothesis_satisfied
-                    rows.append(
-                        {
-                            "L": L,
-                            "S": S,
-                            "D": D,
-                            "epsilon": str(eps),
-                            "c1": str(constants.c1),
-                            "c2": str(constants.c2),
-                            "c3": str(constants.c3),
-                            "c4": str(constants.c4),
-                            "main": float(td.main.mid),
-                            "cell_sum": float(cells.mid),
-                            "two_surface_points": float(td.parts["two_surface_points"].mid),
-                            "two_surface_curves": float(td.parts["two_surface_curves"].mid),
-                            "two_surface_contained": float(td.parts["two_surface_contained"].mid),
-                            "three_surface_crossing": float(td.parts["three_surface_crossing"].mid),
-                            "three_surface_contained": float(td.parts["three_surface_contained"].mid),
-                            "zero_set_crossing": float(td.parts["zero_set_crossing"].mid),
-                            "zero_set_tangent": float(td.parts["zero_set_tangent"].mid),
-                            "zero_set_curves": float(td.parts["zero_set_curves"].mid),
-                            "zero_set_contained": float(td.parts["zero_set_contained"].mid),
-                            "total": float(td.total.mid),
-                            "ratio": float(td.ratio.mid),
-                            "in_regime": in_regime,
-                            "cell_sum_below_main": cells.upper < td.main.value.lo,
-                        }
-                    )
+                    row = {
+                        "L": L,
+                        "S": S,
+                        "D": D,
+                        "epsilon": str(eps),
+                        "c1": str(constants.c1),
+                        "c2": str(constants.c2),
+                        "c3": str(constants.c3),
+                        "c4": str(constants.c4),
+                        "main": float(td.main.mid),
+                    }
+                    # td.parts is ordered as the CSV columns
+                    row.update((name, float(r.mid)) for name, r in td.parts.items())
+                    row["total"] = float(td.total.mid)
+                    row["ratio"] = float(td.ratio.mid)
+                    row["in_regime"] = td.main.hypothesis_satisfied
+                    row["cell_sum_below_main"] = td.parts["cell_sum"].upper < td.main.value.lo
+                    rows.append(row)
     return rows
 
 
-def log_spaced_s(L: int, count: int = 3, factor: int = bnd.REGIME_FACTOR) -> list[int]:
+def log_spaced_s(L: int, count: int = 3) -> list[int]:
     """`count` log-spaced S values inside the regime band for L."""
+    factor = bnd.REGIME_FACTOR
     lo = factor * math.isqrt(L)
     if factor * factor * L > lo * lo * 1:  # ceil adjustment for the sqrt
         while lo * lo < factor * factor * L:
@@ -333,17 +329,6 @@ def grid_summary(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_grid(l_values, d_values, eps_values, s_values_for=None,
-             constants: ConstantsProfile = ConstantsProfile()) -> tuple[str, str]:
-    """Bound table plus dominance summary over a parameter grid.
-
-    `s_values_for` maps each L to its S values; the default takes three
-    log-spaced values inside the regime band.  Returns (csv, summary).
-    """
-    rows = grid_rows(l_values, s_values_for or log_spaced_s, d_values, eps_values, constants)
-    return grid_to_csv(rows), grid_summary(rows)
-
-
 # ---------------------------------------------------------------------------
 # Argument plumbing
 # ---------------------------------------------------------------------------
@@ -368,19 +353,36 @@ def _emit(text: str, path: Path | None) -> None:
         print(f"wrote {path}")
 
 
-def _add_shared(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--L", type=int, default=10)
-    sp.add_argument("--S", type=int, default=5)
-    sp.add_argument("--D", type=int, default=2)
-    sp.add_argument("--epsilon", type=Fraction, default=Fraction(1, 10),
-                    help="exact rational, e.g. 1/10")
-    sp.add_argument("--J", type=int, default=None, help="partition rounds")
-    sp.add_argument("--delta", type=Fraction, default=Fraction(1, 10))
+# Every flag the CLI knows; each subcommand registers only those it reads
+# and takes no abbreviations, so `grid --L` is an error, not `--L-list`.
+_FLAGS = {
+    "--seed": dict(type=int, default=0),
+    "--L": dict(type=int, default=10),
+    "--S": dict(type=int, default=5),
+    "--D": dict(type=int, default=2),
+    "--epsilon": dict(type=Fraction, default=Fraction(1, 10), help="exact rational, e.g. 1/10"),
+    "--J": dict(type=int, default=None, help="partition rounds"),
+    "--delta": dict(type=Fraction, default=Fraction(1, 10)),
+    "--format": dict(choices=("text", "csv"), default="text"),
+    "--strict": dict(action="store_true", help="out-of-regime hypotheses become exit code 3"),
+    "--config": dict(required=True),
+    "--kind": dict(default="generic", choices=[k.value for k in GeneratorKind]),
+    "--range": dict(type=int, default=10**6),
+    "--planted-lines": dict(type=int, default=0),
+    "--planted-planes": dict(type=int, default=0),
+}
+
+_GENERATOR_FLAGS = (
+    "--kind", "--L", "--S", "--seed", "--range", "--planted-lines", "--planted-planes"
+)
+
+
+def _subcommand(sub, name: str, summary: str, *flags: str) -> argparse.ArgumentParser:
+    sp = sub.add_parser(name, help=summary, allow_abbrev=False)
+    for flag in flags:
+        sp.add_argument(flag, **_FLAGS[flag])
     sp.add_argument("--out", default=None, help="output path ('-' forces stdout)")
-    sp.add_argument("--format", choices=("text", "csv"), default="text")
-    sp.add_argument("--strict", action="store_true",
-                    help="out-of-regime hypotheses become exit code 3")
+    return sp
 
 
 def _generator_from_args(args) -> GeneratorSpec:
@@ -402,49 +404,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", help="generate a configuration file")
-    _add_shared(gen)
-    gen.add_argument("--kind", default="generic",
-                     choices=[k.value for k in GeneratorKind])
-    gen.add_argument("--range", type=int, default=10**6)
-    gen.add_argument("--planted-lines", type=int, default=0)
-    gen.add_argument("--planted-planes", type=int, default=0)
+    _subcommand(sub, "gen", "generate a configuration file", *_GENERATOR_FLAGS)
+    _subcommand(sub, "count", "exact incidence census of a configuration", "--config", "--format")
+    _subcommand(sub, "partition", "build a partition for a configuration",
+                "--config", "--J", "--delta", "--seed", "--format")
 
-    count = sub.add_parser("count", help="exact incidence census of a configuration")
-    _add_shared(count)
-    count.add_argument("--config", required=True)
-
-    part = sub.add_parser("partition", help="build a partition for a configuration")
-    _add_shared(part)
-    part.add_argument("--config", required=True)
-
-    degen = sub.add_parser("degeneracy", help="rich flat / hyperplane detection")
-    _add_shared(degen)
-    degen.add_argument("--config", required=True)
+    degen = _subcommand(sub, "degeneracy", "rich flat / hyperplane detection",
+                        "--config", "--epsilon")
     degen.add_argument("--line-threshold", type=int, default=None)
     degen.add_argument("--plane-threshold", type=int, default=None)
 
-    bounds_p = sub.add_parser("bounds", help="evaluate every closed-form bound")
-    _add_shared(bounds_p)
+    bounds_p = _subcommand(sub, "bounds", "evaluate every closed-form bound",
+                           "--L", "--S", "--D", "--epsilon", "--format", "--strict")
     bounds_p.add_argument("--c1", type=Fraction, default=Fraction(1))
     bounds_p.add_argument("--c2", type=Fraction, default=Fraction(1))
     bounds_p.add_argument("--c4", type=Fraction, default=Fraction(1))
 
-    grid = sub.add_parser("grid", help="bound table over a parameter grid")
-    _add_shared(grid)
+    grid = _subcommand(sub, "grid", "bound table over a parameter grid")
     grid.add_argument("--L-list", default="1000,10000")
     grid.add_argument("--S-list", default="auto",
                       help="'auto' = 3 log-spaced values inside the regime")
     grid.add_argument("--D-list", default="2,4")
     grid.add_argument("--epsilon-list", default="1/10,1/4,1/2")
 
-    verify = sub.add_parser("verify", help="full experiment with verdicts")
-    _add_shared(verify)
-    verify.add_argument("--kind", default="generic",
-                        choices=[k.value for k in GeneratorKind])
-    verify.add_argument("--range", type=int, default=10**6)
-    verify.add_argument("--planted-lines", type=int, default=0)
-    verify.add_argument("--planted-planes", type=int, default=0)
+    verify = _subcommand(sub, "verify", "full experiment with verdicts", *_GENERATOR_FLAGS,
+                         "--D", "--epsilon", "--J", "--delta", "--strict")
     verify.add_argument("--config", default=None,
                         help="verify a stored configuration instead of generating")
     return ap
@@ -461,21 +445,8 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "gen":
-        spec = _generator_from_args(args)
-        if spec.kind is GeneratorKind.GENERIC:
-            cfg = gen_generic(args.L, args.S, args.seed, args.range)
-        elif spec.kind is GeneratorKind.STAR:
-            cfg = gen_star(args.L, args.S, seed=args.seed)
-        else:
-            cfg, _ = gen_planted(spec, args.seed)
-        path = _out_path(args, f"config_{args.kind}_{args.seed}.json")
-        if path is None:
-            from .configs import dumps_config
-
-            sys.stdout.write(dumps_config(cfg))
-        else:
-            save_config(cfg, path)
-            print(f"wrote {path}")
+        cfg, _ = _make_configuration(_generator_from_args(args), args.seed)
+        _emit(dumps_config(cfg), _out_path(args, f"config_{args.kind}_{args.seed}.json"))
         return EXIT_OK
 
     if args.command == "count":
@@ -500,17 +471,14 @@ def _dispatch(args) -> int:
 
     if args.command == "degeneracy":
         cfg = load_config(args.config)
-        lt = args.line_threshold or rich_thresholds(cfg.num_lines, args.epsilon)
-        pt = args.plane_threshold or rich_thresholds(cfg.num_planes, args.epsilon)
-        flats = detect_rich_flat2(cfg.lines, lt) if cfg.num_lines >= 2 else []
-        hypers = detect_rich_hyperplane(cfg.planes, pt) if cfg.num_planes >= 2 else []
-        out = [f"line_threshold: {lt}", f"plane_threshold: {pt}"]
-        out.append(f"rich_flats: {len(flats)}")
-        for r in flats:
-            out.append(f"  multiplicity {r.multiplicity}: lines {list(r.members)}")
-        out.append(f"rich_hyperplanes: {len(hypers)}")
-        for r in hypers:
-            out.append(f"  multiplicity {r.multiplicity}: planes {list(r.members)}")
+        lt = args.line_threshold
+        if lt is None:
+            lt = rich_thresholds(cfg.num_lines, args.epsilon)
+        pt = args.plane_threshold
+        if pt is None:
+            pt = rich_thresholds(cfg.num_planes, args.epsilon)
+        _, _, rich_lines = _rich_report(cfg, lt, pt)
+        out = [f"line_threshold: {lt}", f"plane_threshold: {pt}"] + rich_lines
         _emit("\n".join(out) + "\n", _out_path(args, "degeneracy.txt"))
         return EXIT_OK
 
@@ -518,7 +486,7 @@ def _dispatch(args) -> int:
         params = BoundParams(args.L, args.S, args.D, args.epsilon)
         constants = ConstantsProfile(args.c1, args.c2, args.c4)
         td = bnd.eval_total_and_dominance(params, constants)
-        rows = [("main_bound", td.main)] + sorted(td.parts.items()) + [("total", td.total)]
+        rows = _bound_rows(td)
         if args.format == "csv":
             out = ["name,value,hypothesis_ok,detail"]
             for name, r in rows:
@@ -550,39 +518,28 @@ def _dispatch(args) -> int:
             def s_for(_l, fixed=fixed):
                 return fixed
 
-        constants = ConstantsProfile()
-        rows = grid_rows(l_values, s_for, d_values, eps_values, constants)
+        rows = grid_rows(l_values, s_for, d_values, eps_values, ConstantsProfile())
         text = grid_to_csv(rows) + grid_summary(rows)
         _emit(text, _out_path(args, "grid.csv"))
         return EXIT_OK
 
     if args.command == "verify":
-        if args.config:
-            cfg = load_config(args.config)
-            generator = GeneratorSpec(
-                GeneratorKind.GENERIC, cfg.num_lines, cfg.num_planes
-            )
-            spec = ExperimentSpec(
-                generator,
-                seed=cfg.seed,
-                partition=PartitionParams(args.J, args.delta) if args.J else None,
-                partition_seed=args.seed,
-                epsilon=args.epsilon,
-                degree=args.D,
-                strict=args.strict,
-            )
-            report = run_experiment(spec, preloaded=cfg)
+        cfg = load_config(args.config) if args.config else None
+        if cfg is None:
+            generator, seed = _generator_from_args(args), args.seed
         else:
-            spec = ExperimentSpec(
-                _generator_from_args(args),
-                seed=args.seed,
-                partition=PartitionParams(args.J, args.delta) if args.J else None,
-                partition_seed=args.seed,
-                epsilon=args.epsilon,
-                degree=args.D,
-                strict=args.strict,
-            )
-            report = run_experiment(spec)
+            generator = GeneratorSpec(GeneratorKind.GENERIC, cfg.num_lines, cfg.num_planes)
+            seed = cfg.seed
+        spec = ExperimentSpec(
+            generator,
+            seed=seed,
+            partition=PartitionParams(args.J, args.delta) if args.J else None,
+            partition_seed=args.seed,
+            epsilon=args.epsilon,
+            degree=args.D,
+            strict=args.strict,
+        )
+        report = run_experiment(spec, preloaded=cfg)
         _emit(report.text, _out_path(args, "experiment.txt"))
         return report.exit_code
 

@@ -269,9 +269,9 @@ def gen_planted(spec: GeneratorSpec, seed: int | None = None):
         return ln
 
     def draw_planted_plane():
-        base = _hyperplane_point(rng, hyper, small)
-        u = _hyperplane_direction(rng, hyper, small)
-        v = _hyperplane_direction(rng, hyper, small)
+        base = _hyperplane_point(rng, hyper.normal, hyper.offset, small)
+        u = _hyperplane_point(rng, hyper.normal, 0, small)
+        v = _hyperplane_point(rng, hyper.normal, 0, small)
         if not independent(u, v):
             return None
         pl = Flat2(base, u, v)
@@ -331,20 +331,14 @@ def _draw_hyperplane(rng: random.Random, bound: int) -> Hyperplane3:
     return Hyperplane3(tuple(normal), rng.randint(-bound, bound))
 
 
-def _hyperplane_point(rng: random.Random, h: Hyperplane3, small: int):
+def _hyperplane_point(rng: random.Random, normal, offset, small: int):
+    """Random point of {x : normal . x = offset}; offset 0 gives a
+    direction inside the hyperplane."""
     # First normal coordinate is 1 in canonical form.
-    pivot = next(i for i, x in enumerate(h.normal) if x != 0)
+    pivot = next(i for i, x in enumerate(normal) if x != 0)
     coords = [Fraction(rng.randint(-small, small)) for _ in range(4)]
-    rest = sum(h.normal[i] * coords[i] for i in range(4) if i != pivot)
-    coords[pivot] = (h.offset - rest) / h.normal[pivot]
-    return tuple(coords)
-
-
-def _hyperplane_direction(rng: random.Random, h: Hyperplane3, small: int):
-    pivot = next(i for i, x in enumerate(h.normal) if x != 0)
-    coords = [Fraction(rng.randint(-small, small)) for _ in range(4)]
-    rest = sum(h.normal[i] * coords[i] for i in range(4) if i != pivot)
-    coords[pivot] = -rest / h.normal[pivot]
+    rest = sum(normal[i] * coords[i] for i in range(4) if i != pivot)
+    coords[pivot] = (offset - rest) / normal[pivot]
     return tuple(coords)
 
 
@@ -352,12 +346,8 @@ def _hyperplane_direction(rng: random.Random, h: Hyperplane3, small: int):
 # Persistence
 # ---------------------------------------------------------------------------
 
-def _rat_str(x: Fraction) -> str:
-    return str(x)
-
-
 def _vec_json(v) -> list[str]:
-    return [_rat_str(x) for x in v]
+    return [str(x) for x in v]
 
 
 def _parse_vec(values, what: str):

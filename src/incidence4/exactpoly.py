@@ -229,11 +229,6 @@ def poly2(terms: Mapping[tuple, object]) -> SparsePoly:
     return SparsePoly(2, terms)
 
 
-def poly_eval(p: SparsePoly, point: Sequence) -> Fraction:
-    """Exact value of `p` at a rational point."""
-    return p.eval(point)
-
-
 # ---------------------------------------------------------------------------
 # Dense univariate polynomials
 # ---------------------------------------------------------------------------
@@ -737,7 +732,7 @@ def sample_points_between_roots(roots: Sequence[IsolatedRoot]) -> list[Fraction]
 
 
 # ---------------------------------------------------------------------------
-# Resultants and principal subresultant coefficients
+# Determinants and Sylvester matrices
 # ---------------------------------------------------------------------------
 
 def _det(matrix: list[list[Fraction]]) -> Fraction:
@@ -769,48 +764,15 @@ def _det(matrix: list[list[Fraction]]) -> Fraction:
     return det
 
 
-def sylvester_matrix(f: UniPoly, g: UniPoly) -> list[list[Fraction]]:
-    n, m = f.degree, g.degree
-    if n < 0 or m < 0:
-        raise ZeroPolynomialError("Sylvester matrix needs nonzero polynomials")
-    size = n + m
-    fm = list(reversed(f.coeffs))
-    gm = list(reversed(g.coeffs))
-    rows = []
-    for i in range(m):
-        rows.append([ZERO] * i + fm + [ZERO] * (size - i - n - 1))
-    for i in range(n):
-        rows.append([ZERO] * i + gm + [ZERO] * (size - i - m - 1))
+def _sylvester(c1: list, c2: list) -> list[list]:
+    """Sylvester matrix of two coefficient lists (lowest degree first)."""
+    e1, e2 = len(c1) - 1, len(c2) - 1
+    size = e1 + e2
+    rev1, rev2 = c1[::-1], c2[::-1]
+    zero = UniPoly.zero()
+    rows = [[zero] * i + rev1 + [zero] * (size - i - e1 - 1) for i in range(e2)]
+    rows += [[zero] * i + rev2 + [zero] * (size - i - e2 - 1) for i in range(e1)]
     return rows
-
-
-def resultant(f: UniPoly, g: UniPoly) -> Fraction:
-    """Res(f, g) for univariate polynomials (empty matrix convention: 1)."""
-    if f.is_zero or g.is_zero:
-        raise ZeroPolynomialError("resultant needs nonzero polynomials")
-    if f.degree == 0:
-        return f.leading ** g.degree
-    if g.degree == 0:
-        return g.leading ** f.degree
-    return _det(sylvester_matrix(f, g))
-
-
-def principal_subresultant(f: UniPoly, g: UniPoly, j: int) -> Fraction:
-    """psc_j(f, g): determinant of the j-th Sylvester submatrix.
-
-    psc_0 is the resultant.  For specialized coefficients with full
-    degrees, deg gcd(f, g) equals the least j with psc_j != 0.
-    """
-    n, m = f.degree, g.degree
-    if j == 0:
-        return resultant(f, g)
-    if j >= min(n, m):
-        raise ValueError("psc index must be below min degree")
-    full = sylvester_matrix(f, g)
-    rows = full[: m - j] + full[m : m + n - j]
-    size = n + m - 2 * j
-    sub = [row[:size] for row in rows]
-    return _det(sub)
 
 
 # ---------------------------------------------------------------------------
@@ -892,17 +854,8 @@ def resultant_bivariate(q1: SparsePoly, q2: SparsePoly, eliminate: int) -> UniPo
         for _ in range(e1):
             out = out * c2[0]
         return out
-    rows = []
-    rev1 = list(reversed(c1))
-    rev2 = list(reversed(c2))
-    size = e1 + e2
-    zero = UniPoly.zero()
-    for i in range(e2):
-        rows.append([zero] * i + rev1 + [zero] * (size - i - e1 - 1))
-    for i in range(e1):
-        rows.append([zero] * i + rev2 + [zero] * (size - i - e2 - 1))
     bound = q1.degree * q2.degree + 1
-    return _matrix_det_poly(rows, bound)
+    return _matrix_det_poly(_sylvester(c1, c2), bound)
 
 
 def have_common_factor(q1: SparsePoly, q2: SparsePoly) -> bool:
@@ -992,16 +945,8 @@ def _psc1_bivariate(q1: SparsePoly, q2: SparsePoly) -> UniPoly:
     c1 = bipoly_coeffs_in(q1, 1)
     c2 = bipoly_coeffs_in(q2, 1)
     e1, e2 = len(c1) - 1, len(c2) - 1
-    rev1 = list(reversed(c1))
-    rev2 = list(reversed(c2))
-    size = e1 + e2
-    zero = UniPoly.zero()
-    full = []
-    for i in range(e2):
-        full.append([zero] * i + rev1 + [zero] * (size - i - e1 - 1))
-    for i in range(e1):
-        full.append([zero] * i + rev2 + [zero] * (size - i - e2 - 1))
+    full = _sylvester(c1, c2)
     rows = full[: e2 - 1] + full[e2 : e2 + e1 - 1]
-    sub = [row[: size - 2] for row in rows]
+    sub = [row[: e1 + e2 - 2] for row in rows]
     bound = q1.degree * q2.degree + 1
     return _matrix_det_poly(sub, bound)

@@ -273,10 +273,6 @@ class IncidenceOutcome:
     kind: IncidenceKind
     location: Point4 | None = None
 
-    @property
-    def is_point(self) -> bool:
-        return self.kind is IncidenceKind.POINT
-
 
 def classify_line_flat2(ln: Line4, fl: Flat2) -> IncidenceOutcome:
     """Exact outcome of intersecting a line with a 2-flat in R^4.

@@ -25,7 +25,6 @@ from itertools import product as iter_product
 import numpy as np
 
 from .exactpoly import (
-    ONE,
     SparsePoly,
     ZERO,
     isolate_real_roots,
@@ -36,6 +35,7 @@ from .exactpoly import (
     sample_points_between_roots,
     sign,
 )
+from .flats import rref
 
 SignVector = tuple[int, ...]
 
@@ -76,21 +76,9 @@ def lift_dimension(degree: int) -> int:
     return math.comb(4 + degree, 4) - 1
 
 
-def veronese_lift(point, degree: int) -> tuple:
-    """Monomial coordinates (degree 1..degree) of a point in R^4."""
-    pt = [rat(x) for x in point]
-    out = []
-    for e in monomial_exponents(degree):
-        v = Fraction(1)
-        for x, p in zip(pt, e):
-            if p:
-                v *= x**p
-        out.append(v)
-    return tuple(out)
-
-
 def _lift_row(point, exps) -> list:
-    """[1, monomials...] with native ints preserved when possible."""
+    """[1, monomials...] of a point in R^4: the Veronese lift with a
+    leading 1, native ints preserved when possible."""
     row = [1]
     for e in exps:
         v = 1
@@ -175,7 +163,6 @@ class PartitionPolynomial:
 
 @dataclass(frozen=True)
 class CrossingStats:
-    object_id: str
     distinct_cells: int
     zero_set_hits: int
 
@@ -190,12 +177,8 @@ def cell_id(point, part: PartitionPolynomial) -> SignVector:
 # Ham-sandwich bisection with exact certificates
 # ---------------------------------------------------------------------------
 
-def _ceil_frac(x: Fraction) -> int:
-    return math.ceil(x)
-
-
 def default_cap(size: int, delta: Fraction) -> int:
-    return _ceil_frac(Fraction(size) * (1 + delta) / 2)
+    return math.ceil(Fraction(size) * (1 + delta) / 2)
 
 
 def _poly_from_weights(weights, exps) -> SparsePoly:
@@ -259,7 +242,6 @@ def ham_sandwich_bisect(
     delta,
     seed: int = 0,
     caps=None,
-    restarts: int = 6,
 ):
     """One polynomial of degree <= `degree` that delta-bisects every set.
 
@@ -350,14 +332,6 @@ def ham_sandwich_bisect(
     caps_active = [caps[i] for i in active]
     nprng = np.random.default_rng(rng.randrange(2**32))
 
-    def window_margins(w):
-        """Per-active-set margin of the score band around threshold 0."""
-        out = []
-        for p, cap in zip(phi, caps_active):
-            s = np.sort(p @ w)
-            out.append(min(-s[len(s) - 1 - cap], s[cap]))
-        return np.array(out)
-
     def exact_direction(w) -> list | None:
         scaled = [
             Fraction(round(x * 2**24)) / (2**24 * Fraction(s))
@@ -390,25 +364,8 @@ def ham_sandwich_bisect(
             order = np.argsort(p @ w)
             mid = (max(0, len(order) - 1 - caps_active[i]) + min(caps_active[i], len(order) - 1)) // 2
             rows.append([Fraction(v) for v in lifted_sets[active[i]][int(order[mid])]])
+        mat, pivots = rref(rows)
         ncols = m + 1
-        mat = [r[:] for r in rows]
-        pivots: list[int] = []
-        rr = 0
-        for col in range(ncols):
-            piv = next((i for i in range(rr, len(mat)) if mat[i][col] != 0), None)
-            if piv is None:
-                continue
-            mat[rr], mat[piv] = mat[piv], mat[rr]
-            inv = ONE / mat[rr][col]
-            mat[rr] = [x * inv for x in mat[rr]]
-            for i in range(len(mat)):
-                if i != rr and mat[i][col] != 0:
-                    f = mat[i][col]
-                    mat[i] = [x - f * y for x, y in zip(mat[i], mat[rr])]
-            pivots.append(col)
-            rr += 1
-            if rr == len(mat):
-                break
         free = [c for c in range(ncols) if c not in pivots]
         x = [ZERO] * ncols
         for c in free:
@@ -431,7 +388,7 @@ def ham_sandwich_bisect(
     # the window margins hover at zero and the exact attempts (threshold
     # sweep when the window is open, anchor-interpolation when it is
     # degenerate) certify a factor.
-    for restart in range(restarts):
+    for restart in range(6):
         w = nprng.standard_normal(m + 1)
         w /= np.linalg.norm(w)
         best_worst = -np.inf
@@ -511,7 +468,7 @@ def _clear_denominators(values):
 
 def round_cell_bound(total: int, round_index: int, delta: Fraction) -> int:
     """Points allowed per open cell after `round_index` rounds."""
-    return _ceil_frac(Fraction(total) * (1 + delta) ** round_index / 2**round_index)
+    return math.ceil(Fraction(total) * (1 + delta) ** round_index / 2**round_index)
 
 
 def build_partition(points, params: PartitionParams, seed: int = 0) -> PartitionPolynomial:
@@ -611,7 +568,7 @@ def line_cell_profile(ln, part: PartitionPolynomial):
     return roots, samples, vectors
 
 
-def line_crossing_stats(ln, part: PartitionPolynomial, object_id: str = "line") -> CrossingStats:
+def line_crossing_stats(ln, part: PartitionPolynomial) -> CrossingStats:
     """Distinct open cells a line enters and its zero-set hits, exactly.
 
     The cell count obeys distinct_cells <= degree + 1 (one crossing per
@@ -619,7 +576,7 @@ def line_crossing_stats(ln, part: PartitionPolynomial, object_id: str = "line") 
     isolation, not sampling.
     """
     roots, _, vectors = line_cell_profile(ln, part)
-    stats = CrossingStats(object_id, len(set(vectors)), len(roots))
+    stats = CrossingStats(len(set(vectors)), len(roots))
     if stats.distinct_cells > part.degree + 1:
         raise AssertionError("line entered more than degree+1 cells")
     if stats.distinct_cells > stats.zero_set_hits + 1:
@@ -634,12 +591,12 @@ def flat2_crossing_stats(
     fl,
     part: PartitionPolynomial,
     sample_budget: int = 128,
-    extent: int = 16,
 ) -> int:
     """Certified lower bound on the open cells a 2-flat enters.
 
     Evaluates the factor sign vectors at `sample_budget` deterministic
-    rational lattice points of the flat's coordinate chart; distinct
+    rational lattice points of the flat's coordinate chart, in the
+    square [-16, 16]^2; distinct
     all-nonzero sign vectors witness distinct cells.  The count is
     checked against the degree^2 + degree + 1 region bound.
     """
@@ -652,8 +609,8 @@ def flat2_crossing_stats(
     seen: set[SignVector] = set()
     g1, g2, q = _LATTICE
     for i in range(1, sample_budget + 1):
-        a = Fraction(-extent) + Fraction(2 * extent * (i * g1 % q), q)
-        b = Fraction(-extent) + Fraction(2 * extent * (i * g2 % q), q)
+        a = Fraction(-16) + Fraction(32 * (i * g1 % q), q)
+        b = Fraction(-16) + Fraction(32 * (i * g2 % q), q)
         sv = tuple(sign(r.eval((a, b))) for r in restrictions)
         if 0 not in sv:
             seen.add(sv)

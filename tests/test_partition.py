@@ -1,5 +1,7 @@
 """Partition engine: lifts, bisection, balance, crossing statistics."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction as F
 
@@ -13,6 +15,7 @@ from incidence4.partition import (
     PartitionParams,
     PartitionPolynomial,
     SearchBudgetError,
+    _lift_row,
     assign_cells,
     build_partition,
     cell_id,
@@ -25,19 +28,29 @@ from incidence4.partition import (
     line_crossing_stats,
     monomial_exponents,
     round_cell_bound,
-    veronese_lift,
 )
+
+
+def veronese_lift(point, degree):
+    """Monomial coordinates (degree 1..degree): the lift the bisection uses."""
+    return _lift_row(point, monomial_exponents(degree))[1:]
 
 
 class TestVeroneseLift:
     def test_degree_one_is_identity(self):
         assert lift_dimension(1) == 4
-        assert veronese_lift((3, 1, -2, 5), 1) == (3, 1, -2, 5)
+        assert veronese_lift((3, 1, -2, 5), 1) == [3, 1, -2, 5]
 
     def test_degree_two_unit_vector(self):
         lifted = veronese_lift((1, 0, 0, 0), 2)
         assert len(lifted) == lift_dimension(2) == 14
         assert [v for v in lifted if v != 0] == [1, 1]  # x1 and x1^2
+
+    def test_fraction_coordinates(self):
+        lifted = veronese_lift((F(1, 2), 0, F(-3), 0), 2)
+        exps = monomial_exponents(2)
+        assert lifted[exps.index((2, 0, 0, 0))] == F(1, 4)
+        assert lifted[exps.index((1, 0, 1, 0))] == F(-3, 2)
 
     def test_cross_term(self):
         exps = monomial_exponents(2)
@@ -205,3 +218,18 @@ class TestFlatCrossing:
         count = flat2_crossing_stats(fl, part)
         assert count == 4
         assert count <= part.degree**2 + part.degree + 1
+
+
+# SHA-256 of the criterion-3 partition's factor dump (1024 pinned points,
+# J=8, delta=1/10, seed 11); the benchmark stores the same partition.
+CRITERION_3_PARTITION_SHA256 = "137d48e14a5f207d05e49e15289320f81043d3335799e0411c987dd02f53e091"
+
+
+def test_criterion_3_partition_is_pinned(big_partition):
+    _, part, _ = big_partition
+    dump = [
+        {"degree": f.degree, "terms": [[list(e), str(c)] for e, c in sorted(f.terms.items())]}
+        for f in part.factors
+    ]
+    digest = hashlib.sha256(json.dumps(dump, sort_keys=True).encode()).hexdigest()
+    assert digest == CRITERION_3_PARTITION_SHA256
