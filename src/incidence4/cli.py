@@ -62,7 +62,6 @@ class ExperimentSpec:
     partition_seed: int = 0
     epsilon: Fraction = Fraction(1, 10)
     degree: int = 2
-    constants: ConstantsProfile = ConstantsProfile()
     strict: bool = False
 
 
@@ -136,6 +135,7 @@ def run_experiment(spec: ExperimentSpec, preloaded: ConfigurationSet | None = No
         part = build_partition(points, spec.partition, seed=spec.partition_seed)
         incidences = classify_by_partition(cfg, part)
 
+    constants = ConstantsProfile()
     lines_out = []
     add = lines_out.append
     add("# incidence4 experiment report")
@@ -152,8 +152,8 @@ def run_experiment(spec: ExperimentSpec, preloaded: ConfigurationSet | None = No
     add(f"epsilon: {spec.epsilon}")
     add(f"surface_degree: {spec.degree}")
     add(
-        f"constants: c1={spec.constants.c1} c2={spec.constants.c2} "
-        f"c3={spec.constants.c3} c4={spec.constants.c4}"
+        f"constants: c1={constants.c1} c2={constants.c2} "
+        f"c3={constants.c3} c4={constants.c4}"
     )
     add(f"strict: {spec.strict}")
     add("")
@@ -191,7 +191,7 @@ def run_experiment(spec: ExperimentSpec, preloaded: ConfigurationSet | None = No
     if cfg.num_lines >= 1 and cfg.num_planes >= 1:
         degree = max(2, part.degree if part is not None else spec.degree)
         params = BoundParams(cfg.num_lines, cfg.num_planes, degree, spec.epsilon)
-        total = bnd.eval_total_and_dominance(params, spec.constants)
+        total = bnd.eval_total_and_dominance(params, constants)
         for name, res in _bound_rows(total):
             add(
                 f"{name}: value={float(res.mid):.6g} "
@@ -206,7 +206,7 @@ def run_experiment(spec: ExperimentSpec, preloaded: ConfigurationSet | None = No
             else:
                 verdicts.append((name, "out-of-regime, informational", res.hypothesis_detail))
         if part is not None:
-            zs = bnd.eval_zero_set_cases(params, spec.constants)
+            zs = bnd.eval_zero_set_cases(params, constants)
             if zs.total.hypothesis_satisfied:
                 status = "pass" if incidences.zero_set_count <= zs.total.upper else "FAIL"
                 verdicts.append(
@@ -253,8 +253,10 @@ def partition_to_text(part: PartitionPolynomial) -> str:
 # Grid evaluation
 # ---------------------------------------------------------------------------
 
-def grid_rows(l_values, s_values_for, d_values, eps_values, constants: ConstantsProfile):
-    """One CSV row per grid point, sorted by coordinates."""
+def grid_rows(l_values, s_values_for, d_values, eps_values):
+    """One CSV row per grid point, sorted by coordinates, under the
+    default constants."""
+    constants = ConstantsProfile()
     rows = []
     for L in sorted(l_values):
         for S in sorted(s_values_for(L)):
@@ -518,7 +520,7 @@ def _dispatch(args) -> int:
             def s_for(_l, fixed=fixed):
                 return fixed
 
-        rows = grid_rows(l_values, s_for, d_values, eps_values, ConstantsProfile())
+        rows = grid_rows(l_values, s_for, d_values, eps_values)
         text = grid_to_csv(rows) + grid_summary(rows)
         _emit(text, _out_path(args, "grid.csv"))
         return EXIT_OK

@@ -6,6 +6,16 @@ counting, common-factor detection, intersection counting) is decided by
 integer/rational arithmetic alone.  No floating point enters any code
 path here.
 
+The sign of a polynomial at a rational point -- the predicate behind
+every partition cell -- is decided in Python ints by `sign_vector`.  Each
+SparsePoly caches a primitive integer form: its coefficients times the
+lcm of their denominators, divided by the gcd of the results.  Scaling by
+a positive constant keeps the sign.  The point is cleared once to P/m
+with integer P and m > 0, and a polynomial f of degree D is evaluated
+homogenised, as the sum of c_e * m^(D-|e|) * prod P_i^e_i: that integer
+is f(P/m) times the positive m^D times the scale, so its sign is exactly
+the sign of f at the point.
+
 Representations:
 
   Rational    = fractions.Fraction (auto-canonical: positive denominator,
@@ -22,7 +32,8 @@ Four-variable sparse polynomials ("MultiPoly4") and two-variable ones
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -51,6 +62,13 @@ def sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
 
+def common_denominator(values) -> tuple[int, tuple[int, ...]]:
+    """(m, m*values) with m > 0 the least common denominator of `values`
+    (ints or Fractions)."""
+    m = math.lcm(*(x.denominator for x in values))
+    return m, tuple(x.numerator * (m // x.denominator) for x in values)
+
+
 # ---------------------------------------------------------------------------
 # Sparse multivariate polynomials
 # ---------------------------------------------------------------------------
@@ -59,10 +77,11 @@ class SparsePoly:
     """Sparse polynomial in `nvars` variables with Fraction coefficients.
 
     Immutable by convention: no method mutates `terms` after construction.
-    Total degree is cached; the zero polynomial reports degree -1.
+    Total degree is cached; the zero polynomial reports degree -1.  The
+    primitive integer form used by `sign_vector` is cached on first use.
     """
 
-    __slots__ = ("nvars", "terms", "degree")
+    __slots__ = ("nvars", "terms", "degree", "_integer_terms")
 
     def __init__(self, nvars: int, terms: Mapping[tuple, object] | None = None):
         self.nvars = nvars
@@ -80,6 +99,7 @@ class SparsePoly:
                     del clean[e]
         self.terms = clean
         self.degree = max((sum(e) for e in clean), default=-1)
+        self._integer_terms = None
 
     # -- constructors -------------------------------------------------------
 
@@ -102,6 +122,22 @@ class SparsePoly:
     @property
     def is_zero(self) -> bool:
         return not self.terms
+
+    @property
+    def integer_terms(self) -> tuple[tuple[int, tuple[int, ...], int], ...]:
+        """(c_e, e, degree - |e|) per term: the coefficients scaled by a
+        positive constant to coprime integers (empty for the zero poly),
+        and e padded with zeros to four variables for `sign_vector`."""
+        if self._integer_terms is None:
+            if self.nvars > 4:
+                raise ValueError("the integer form supports at most 4 variables")
+            pad = (0,) * (4 - self.nvars)
+            _, nums = common_denominator(self.terms.values())
+            g = math.gcd(*nums)
+            self._integer_terms = tuple(
+                (c // g, e + pad, self.degree - sum(e)) for c, e in zip(nums, self.terms)
+            )
+        return self._integer_terms
 
     def __eq__(self, other) -> bool:
         return (
@@ -217,6 +253,27 @@ class SparsePoly:
                     term = term * power(i, e)
             out = out + term
         return out
+
+
+def sign_vector(polys: Sequence[SparsePoly], point: Sequence) -> tuple[int, ...]:
+    """Exact sign of each polynomial (at most 4 variables) at a point of
+    int / Fraction coordinates, in Python-int arithmetic (see the module
+    docstring)."""
+    m, coords = common_denominator(point)
+    top = max((f.degree for f in polys), default=0)
+    powers = range(top + 1)
+    # Missing coordinates only ever meet exponent 0 in the padded terms.
+    t0, t1, t2, t3 = [[x**k for k in powers] for x in coords] + [[1]] * (4 - len(coords))
+    mpow = [m**k for k in powers]
+    out = []
+    for f in polys:
+        if f.nvars != len(coords):
+            raise ValueError("point dimension mismatch")
+        total = 0
+        for c, (a, b, cc, d), rest in f.integer_terms:
+            total += c * mpow[rest] * t0[a] * t1[b] * t2[cc] * t3[d]
+        out.append((total > 0) - (total < 0))
+    return tuple(out)
 
 
 def poly4(terms: Mapping[tuple, object]) -> SparsePoly:
@@ -523,12 +580,14 @@ class IsolatedRoot:
     """One distinct real root of a square-free polynomial.
 
     Either `value` is set (the root is the exact rational `value`) or
-    `lo < root < hi` with poly(lo) and poly(hi) nonzero of opposite sign.
+    `lo < root < hi` with poly(lo) and poly(hi) nonzero of opposite sign;
+    `lo_sign` carries the sign of poly(lo), so no step re-evaluates it.
     """
 
     poly: UniPoly
     lo: Fraction
     hi: Fraction
+    lo_sign: int = field(compare=False)
     value: Fraction | None = None
 
     @property
@@ -553,7 +612,7 @@ class IsolatedRoot:
         s = sign(self.poly.eval(c))
         if s == 0:
             return 0
-        return 1 if s == sign(self.poly.eval(self.lo)) else -1
+        return 1 if s == self.lo_sign else -1
 
     def refined(self) -> "IsolatedRoot":
         """Halve the isolating interval (or discover the root exactly)."""
@@ -562,10 +621,10 @@ class IsolatedRoot:
         mid = (self.lo + self.hi) / 2
         s = sign(self.poly.eval(mid))
         if s == 0:
-            return IsolatedRoot(self.poly, mid, mid, mid)
-        if s == sign(self.poly.eval(self.lo)):
-            return IsolatedRoot(self.poly, mid, self.hi)
-        return IsolatedRoot(self.poly, self.lo, mid)
+            return IsolatedRoot(self.poly, mid, mid, 0, mid)
+        if s == self.lo_sign:
+            return IsolatedRoot(self.poly, mid, self.hi, s)
+        return IsolatedRoot(self.poly, self.lo, mid, self.lo_sign)
 
 
 def isolate_real_roots(f: UniPoly) -> list[IsolatedRoot]:
@@ -601,8 +660,9 @@ def isolate_real_roots(f: UniPoly) -> list[IsolatedRoot]:
         if k == 0:
             return
         if k == 1:
-            if g.eval(a) != 0 and g.eval(b) != 0 and sign(g.eval(a)) != sign(g.eval(b)):
-                roots.append(IsolatedRoot(g, a, b))
+            sa, sb = sign(g.eval(a)), sign(g.eval(b))
+            if sa * sb < 0:
+                roots.append(IsolatedRoot(g, a, b, sa))
                 return
             # Endpoint lands on a root or signs agree: shrink first.
         m = split_point(a, b)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .exactpoly import ONE, ZERO, rat
+from .exactpoly import ONE, ZERO, common_denominator, rat
 
 Point4 = tuple[Fraction, Fraction, Fraction, Fraction]
 IntVec = tuple[int, ...]
@@ -96,12 +96,6 @@ def matrix_rank(rows) -> int:
 # Integer kernel: primitive vectors and small minors
 # ---------------------------------------------------------------------------
 
-def _common_denominator(values) -> tuple[int, IntVec]:
-    """(m, m*values) with m > 0 the least common denominator of `values`."""
-    m = math.lcm(*(x.denominator for x in values))
-    return m, tuple(x.numerator * (m // x.denominator) for x in values)
-
-
 def _primitive(values: IntVec) -> IntVec | None:
     """`values` divided by their gcd, first nonzero entry positive; None
     for the zero vector."""
@@ -114,7 +108,7 @@ def _primitive(values: IntVec) -> IntVec | None:
 
 
 def _primitive_ints(values) -> IntVec:
-    return _primitive(_common_denominator(values)[1])
+    return _primitive(common_denominator(values)[1])
 
 
 _PAIRS4 = tuple(itertools.combinations(range(4), 2))
@@ -173,7 +167,7 @@ class Line4:
     def integer_form(self) -> tuple[IntVec, IntVec, int]:
         """(d, P, m): primitive integer direction d, and the base as P/m
         with integer P and m > 0."""
-        m, p = _common_denominator(self.base)
+        m, p = common_denominator(self.base)
         return _primitive_ints(self.direction), p, m
 
     def contains_point(self, p) -> bool:
@@ -229,7 +223,7 @@ class Flat2:
     def integer_form(self) -> tuple[IntVec, IntVec, IntVec, int]:
         """(u, v, P, m): primitive integer spanning vectors, and the base
         as P/m with integer P and m > 0."""
-        m, p = _common_denominator(self.base)
+        m, p = common_denominator(self.base)
         return _primitive_ints(self.u), _primitive_ints(self.v), p, m
 
     def contains_point(self, p) -> bool:

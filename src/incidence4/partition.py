@@ -5,8 +5,10 @@ delta-bisect every nonempty sign-orthant cell of the previous factors.
 Candidate bisectors are found by searching over hyperplanes in a
 Veronese-lifted monomial space (numeric search is allowed there), but a
 candidate is only ever accepted after its bisection contract has been
-verified with exact rational arithmetic, so the returned partition
-carries no numeric trust.
+verified exactly, so the returned partition carries no numeric trust.
+Every cell decision -- the per-point certification of a candidate, cell
+assignment, and the sign vectors sampled on a 2-flat -- is one call of
+the integer sign kernel `exactpoly.sign_vector`.
 
 Cells are sign vectors of the factors rather than true connected
 components; sign cells refine components, so per-cell point counts are
@@ -34,6 +36,7 @@ from .exactpoly import (
     restrict_to_line,
     sample_points_between_roots,
     sign,
+    sign_vector,
 )
 from .flats import rref
 
@@ -168,9 +171,10 @@ class CrossingStats:
 
 
 def cell_id(point, part: PartitionPolynomial) -> SignVector:
-    """Exact sign of each factor at the point; any zero entry means the
-    point lies on the zero set rather than in an open cell."""
-    return tuple(sign(f.eval(point)) for f in part.factors)
+    """Exact sign of each factor at the point (int or Fraction
+    coordinates); any zero entry means the point lies on the zero set
+    rather than in an open cell."""
+    return sign_vector(part.factors, point)
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +282,8 @@ def ham_sandwich_bisect(
     else:
         shift = (0, 0, 0, 0)
     def shifted(x, mu):
+        if isinstance(x, int):
+            return x - mu
         v = rat(x) - mu
         return int(v) if v.denominator == 1 else v
 
@@ -477,9 +483,9 @@ def build_partition(points, params: PartitionParams, seed: int = 0) -> Partition
     After round j every sign-orthant cell of the first j factors holds at
     most ceil(|points| * 2^-j * (1+delta)^j) points off the zero set;
     this is re-verified by exact cell assignment of every input point
-    before each factor is committed.
+    before each factor is committed.  Integer coordinates stay ints.
     """
-    pts = [tuple(rat(x) for x in p) for p in points]
+    pts = [tuple(x if isinstance(x, int) else rat(x) for x in p) for p in points]
     total = len(pts)
     factors: list[SparsePoly] = []
     signs: list[SignVector] = [() for _ in pts]
@@ -510,7 +516,7 @@ def build_partition(points, params: PartitionParams, seed: int = 0) -> Partition
             except SearchBudgetError:
                 continue
             new_signs = [
-                sv + (sign(candidate.eval(p)),) if 0 not in sv else sv + (0,)
+                sv + sign_vector((candidate,), p) if 0 not in sv else sv + (0,)
                 for p, sv in zip(pts, signs)
             ]
             tally: dict[SignVector, int] = {}
@@ -594,9 +600,9 @@ def flat2_crossing_stats(
 ) -> int:
     """Certified lower bound on the open cells a 2-flat enters.
 
-    Evaluates the factor sign vectors at `sample_budget` deterministic
-    rational lattice points of the flat's coordinate chart, in the
-    square [-16, 16]^2; distinct
+    Takes the exact factor sign vectors (`sign_vector` on the restricted
+    factors) at `sample_budget` deterministic rational lattice points of
+    the flat's coordinate chart, in the square [-16, 16]^2; distinct
     all-nonzero sign vectors witness distinct cells.  The count is
     checked against the degree^2 + degree + 1 region bound.
     """
@@ -611,7 +617,7 @@ def flat2_crossing_stats(
     for i in range(1, sample_budget + 1):
         a = Fraction(-16) + Fraction(32 * (i * g1 % q), q)
         b = Fraction(-16) + Fraction(32 * (i * g2 % q), q)
-        sv = tuple(sign(r.eval((a, b))) for r in restrictions)
+        sv = sign_vector(restrictions, (a, b))
         if 0 not in sv:
             seen.add(sv)
     d = part.degree
