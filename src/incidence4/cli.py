@@ -140,7 +140,7 @@ def run_experiment(spec: ExperimentSpec, preloaded: ConfigurationSet | None = No
     add = lines_out.append
     add("# incidence4 experiment report")
     add("## spec")
-    add(f"generator: {spec.generator.kind.value}")
+    add(f"generator: {'loaded' if preloaded is not None else spec.generator.kind.value}")
     add(f"seed: {spec.seed}")
     if spec.partition is not None:
         add(

@@ -1,20 +1,36 @@
 """Exact polynomial arithmetic over the rationals.
 
-Everything in this module is exact: scalars are `fractions.Fraction`,
-polynomials store Fraction coefficients, and every predicate (root
-counting, common-factor detection, intersection counting) is decided by
-integer/rational arithmetic alone.  No floating point enters any code
-path here.
+Everything in this module is exact: scalars at the API are
+`fractions.Fraction`, polynomials store Fraction coefficients, and every
+predicate (root counting, common-factor detection, intersection
+counting) is decided by integer/rational arithmetic alone.  No floating
+point enters any code path here.
 
-The sign of a polynomial at a rational point -- the predicate behind
-every partition cell -- is decided in Python ints by `sign_vector`.  Each
-SparsePoly caches a primitive integer form: its coefficients times the
-lcm of their denominators, divided by the gcd of the results.  Scaling by
-a positive constant keeps the sign.  The point is cleared once to P/m
-with integer P and m > 0, and a polynomial f of degree D is evaluated
-homogenised, as the sum of c_e * m^(D-|e|) * prod P_i^e_i: that integer
-is f(P/m) times the positive m^D times the scale, so its sign is exactly
-the sign of f at the point.
+The hot paths run in Python ints on primitive integer forms.  Each
+SparsePoly and UniPoly caches one: its coefficients times the lcm of
+their denominators, divided by the gcd of the results, i.e. the
+polynomial times a positive constant (its scale).  Three kernels use it,
+and each is exact because it only multiplies by positive constants:
+
+  `sign_vector`   the sign of a SparsePoly at a rational point -- the
+                  predicate behind every partition cell.  The point is
+                  cleared once to P/m with integer P and m > 0, and f of
+                  degree D is evaluated homogenised, as the sum of
+                  c_e * m^(D-|e|) * prod P_i^e_i: that integer is f(P/m)
+                  times the positive m^D times the scale.
+  restriction     `restrict_to_line` / `restrict_to_flat2`.  Base and
+                  directions are cleared to one denominator M, giving the
+                  integer linear forms B_i + a*U_i (+ b*V_i); the sum of
+                  c_e * M^(D-|e|) * prod form_i^e_i is the restriction
+                  times M^D times the scale, and one division per
+                  coefficient returns the exact Fraction restriction.
+  `UniPoly.sign_at`  the sign of a univariate polynomial at x = p/q
+                  (q > 0): the sum of c_i p^i q^(n-i), by homogeneous
+                  Horner, is g(x) times q^n times the scale.  Sturm sign
+                  variations, root isolation and refinement, root
+                  comparison and the line cell profile decide every sign
+                  this way; `UniPoly.eval` is left for the uses that need
+                  values.
 
 Representations:
 
@@ -78,7 +94,8 @@ class SparsePoly:
 
     Immutable by convention: no method mutates `terms` after construction.
     Total degree is cached; the zero polynomial reports degree -1.  The
-    primitive integer form used by `sign_vector` is cached on first use.
+    primitive integer form used by `sign_vector` and the restrictions is
+    cached on first use.
     """
 
     __slots__ = ("nvars", "terms", "degree", "_integer_terms")
@@ -127,7 +144,7 @@ class SparsePoly:
     def integer_terms(self) -> tuple[tuple[int, tuple[int, ...], int], ...]:
         """(c_e, e, degree - |e|) per term: the coefficients scaled by a
         positive constant to coprime integers (empty for the zero poly),
-        and e padded with zeros to four variables for `sign_vector`."""
+        and e padded with zeros to four variables."""
         if self._integer_terms is None:
             if self.nvars > 4:
                 raise ValueError("the integer form supports at most 4 variables")
@@ -297,13 +314,14 @@ class UniPoly:
     nonzero unless the polynomial is zero (empty coefficient list).
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_integer_coeffs")
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [rat(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
+        self._integer_coeffs = None
 
     @classmethod
     def zero(cls) -> "UniPoly":
@@ -356,12 +374,35 @@ class UniPoly:
                 bits.append(f"{c}*t^{e}")
         return f"UniPoly({' + '.join(bits)})"
 
+    @property
+    def integer_coeffs(self) -> tuple[int, ...]:
+        """The coefficients scaled by a positive constant to coprime
+        integers (empty for the zero polynomial)."""
+        if self._integer_coeffs is None:
+            _, nums = common_denominator(self.coeffs)
+            g = math.gcd(*nums)
+            self._integer_coeffs = tuple(c // g for c in nums)
+        return self._integer_coeffs
+
     def eval(self, x) -> Fraction:
         x = rat(x)
         total = ZERO
         for c in reversed(self.coeffs):
             total = total * x + c
         return total
+
+    def sign_at(self, x) -> int:
+        """Exact sign at the rational x = p/q (q > 0): the sign of
+        sum c_i p^i q^(n-i) over the integer form, by homogeneous Horner."""
+        cs = self.integer_coeffs
+        if not cs:
+            return 0
+        p, q = x.numerator, x.denominator
+        total, qk = cs[-1], 1
+        for c in cs[-2::-1]:
+            qk *= q
+            total = total * p + c * qk
+        return (total > 0) - (total < 0)
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
         n = max(len(self.coeffs), len(other.coeffs))
@@ -454,48 +495,77 @@ def restrict_to_line(p: SparsePoly, ln) -> UniPoly:
     result has degree at most deg p (strictly less only when leading
     terms cancel); the zero input restricts to the zero polynomial.
     """
-    base = [rat(v) for v in ln.base]
-    direc = [rat(v) for v in ln.direction]
-    if all(d == 0 for d in direc):
+    if all(d == 0 for d in ln.direction):
         raise ValueError("line direction must be nonzero")
-    axes = [UniPoly((b, d)) for b, d in zip(base, direc)]
-    return _restrict(p, axes, UniPoly.constant(1), UniPoly.zero())
+    coeffs = _restriction(p, ln.base, (ln.direction,), 0)
+    return UniPoly([coeffs.get(k, ZERO) for k in range(max(coeffs, default=-1) + 1)])
 
 
 def restrict_to_flat2(p: SparsePoly, fl) -> SparsePoly:
     """Restriction g(a, b) = p(base + a*u + b*v) to a 2-flat in R^4."""
-    base = [rat(v) for v in fl.base]
-    u = [rat(v) for v in fl.u]
-    v = [rat(v) for v in fl.v]
-    axes = [
-        SparsePoly(2, {(0, 0): b, (1, 0): uu, (0, 1): vv})
-        for b, uu, vv in zip(base, u, v)
-    ]
-    return _restrict(p, axes, SparsePoly.constant(2, 1), SparsePoly.zero(2))
+    stride = p.degree + 1
+    coeffs = _restriction(p, fl.base, (fl.u, fl.v), stride)
+    return SparsePoly(2, {(k % stride, k // stride): c for k, c in coeffs.items()})
 
 
-def _restrict(p: SparsePoly, axes, one, zero):
+def _restriction(p: SparsePoly, base, directions, stride: int) -> dict[int, Fraction]:
+    """Nonzero coefficients of p(base + a*directions[0] (+ b*directions[1])),
+    keyed by the packed exponent i + stride*j of a^i b^j (stride > deg p;
+    unused for a line).
+
+    Integer arithmetic throughout (see the module docstring): the point
+    is cleared to (B + a*U + b*V) / M, and the sum over the integer form
+    of c_e * M^(D-|e|) * prod (B_i + a*U_i + b*V_i)^e_i is the restriction
+    times the positive constant M^D * scale, divided out once at the end.
+    """
     if p.nvars != 4:
         raise ValueError("restriction expects a 4-variable polynomial")
-    cache: list[dict[int, object]] = [dict() for _ in range(4)]
+    if p.is_zero:
+        return {}
+    terms = p.integer_terms
+    m, ints = common_denominator([rat(x) for x in (*base, *(x for d in directions for x in d))])
+    steps = (1, stride)[: len(directions)]
+    tables = []
+    for i in range(4):
+        # B_i at key 0, then U_i (and V_i) at their parameters' keys
+        form = {key: v for key, v in zip((0, *steps), ints[i::4]) if v}
+        powers = [{0: 1}]
+        for _ in range(max(e[i] for _, e, _ in terms)):
+            powers.append(_mul_packed(powers[-1], form))
+        tables.append(powers)
+    t0, t1, t2, t3 = tables
+    mpow = [m**k for k in range(p.degree + 1)]
 
-    def power(i: int, e: int):
-        got = cache[i].get(e)
-        if got is None:
-            got = one
-            for _ in range(e):
-                got = got * axes[i]
-            cache[i][e] = got
-        return got
+    # Horner in two levels: group the terms by (e0, e1), sum each group's
+    # c * m^rest * t2^e2 * t3^e3, then multiply by t0^e0 * t1^e1 once.
+    low: dict[tuple[int, int], dict[int, int]] = {}
+    groups: dict[tuple[int, int], dict[int, int]] = {}
+    for c, (e0, e1, e2, e3), rest in terms:
+        prod = low.get((e2, e3))
+        if prod is None:
+            prod = low[(e2, e3)] = _mul_packed(t2[e2], t3[e3])
+        acc = groups.setdefault((e0, e1), {})
+        k = c * mpow[rest]
+        for key, v in prod.items():
+            acc[key] = acc.get(key, 0) + k * v
+    total: dict[int, int] = {}
+    for (e0, e1), acc in groups.items():
+        for key, v in _mul_packed(_mul_packed(t0[e0], t1[e1]), acc).items():
+            total[key] = total.get(key, 0) + v
 
-    total = zero
-    for expo, coeff in p.terms.items():
-        term = one * coeff
-        for i, e in enumerate(expo):
-            if e:
-                term = term * power(i, e)
-        total = total + term
-    return total
+    c, e, _ = terms[0]
+    den = m**p.degree * c / p.terms[e]  # M^D * scale, a positive Fraction
+    return {key: v / den for key, v in total.items() if v}
+
+
+def _mul_packed(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Product of two integer polynomials keyed by packed exponents."""
+    out: dict[int, int] = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            k = ka + kb
+            out[k] = out.get(k, 0) + va * vb
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +597,7 @@ def _variations(values: Iterable[int]) -> int:
 
 
 def _variations_at(chain: Sequence[UniPoly], x: Fraction) -> int:
-    return _variations(sign(g.eval(x)) for g in chain)
+    return _variations(g.sign_at(x) for g in chain)
 
 
 def _variations_at_inf(chain: Sequence[UniPoly], positive: bool) -> int:
@@ -609,7 +679,7 @@ class IsolatedRoot:
             return 1
         if c >= self.hi:
             return -1
-        s = sign(self.poly.eval(c))
+        s = self.poly.sign_at(c)
         if s == 0:
             return 0
         return 1 if s == self.lo_sign else -1
@@ -619,7 +689,7 @@ class IsolatedRoot:
         if self.is_exact:
             return self
         mid = (self.lo + self.hi) / 2
-        s = sign(self.poly.eval(mid))
+        s = self.poly.sign_at(mid)
         if s == 0:
             return IsolatedRoot(self.poly, mid, mid, 0, mid)
         if s == self.lo_sign:
@@ -650,7 +720,7 @@ def isolate_real_roots(f: UniPoly) -> list[IsolatedRoot]:
         # Pick a bisection point that is not itself a root.
         mid = (a + b) / 2
         step = (b - a) / 4
-        while g.eval(mid) == 0:
+        while g.sign_at(mid) == 0:
             mid += step
             step /= 3
         return mid
@@ -660,7 +730,7 @@ def isolate_real_roots(f: UniPoly) -> list[IsolatedRoot]:
         if k == 0:
             return
         if k == 1:
-            sa, sb = sign(g.eval(a)), sign(g.eval(b))
+            sa, sb = g.sign_at(a), g.sign_at(b)
             if sa * sb < 0:
                 roots.append(IsolatedRoot(g, a, b, sa))
                 return
@@ -702,7 +772,7 @@ def compare_roots(r1: IsolatedRoot, r2: IsolatedRoot) -> int:
         return -r2.compare_to(r1.value)
     if r2.is_exact:
         return r1.compare_to(r2.value)
-    common = r1.poly if r1.poly == r2.poly else gcd_uni(r1.poly, r2.poly)
+    common = None  # gcd of the two polynomials, computed on first need
     a, b = r1, r2
     while True:
         if a.upper() < b.lower():
@@ -713,6 +783,8 @@ def compare_roots(r1: IsolatedRoot, r2: IsolatedRoot) -> int:
             return -b.compare_to(a.value)
         if b.is_exact:
             return a.compare_to(b.value)
+        if common is None:
+            common = r1.poly if r1.poly == r2.poly else gcd_uni(r1.poly, r2.poly)
         if common.degree > 0:
             in_a = sturm_root_count(common, a.lo, a.hi) == 1
             in_b = sturm_root_count(common, b.lo, b.hi) == 1

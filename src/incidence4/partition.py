@@ -35,7 +35,6 @@ from .exactpoly import (
     restrict_to_flat2,
     restrict_to_line,
     sample_points_between_roots,
-    sign,
     sign_vector,
 )
 from .flats import rref
@@ -568,7 +567,7 @@ def line_cell_profile(ln, part: PartitionPolynomial):
     samples = sample_points_between_roots(roots)
     vectors = []
     for t in samples:
-        sv = tuple(sign(r.eval(t)) for r in restrictions)
+        sv = tuple(r.sign_at(t) for r in restrictions)
         assert 0 not in sv, "sample landed on a root"
         vectors.append(sv)
     return roots, samples, vectors

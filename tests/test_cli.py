@@ -228,7 +228,9 @@ GOLDEN = [
 ]
 
 # SHA-256 of each invocation's stdout, recorded before the CLI renderers
-# were collapsed into one path per subcommand.
+# were collapsed into one path per subcommand.  The two `verify --config`
+# hashes were re-pinned when the report began to print `generator: loaded`
+# for a loaded configuration (it printed `generator: generic` before).
 GOLDEN_SHA256 = {
     "gen-generic": "9b10e017461989937b256b319de2de3e2ee5cbdd216036c77f97651c76eb941a",
     "gen-star": "b8c53e46051279b71768408a8bc76eea45ff7aaa1f3cf8148fee7ef46f0445fd",
@@ -242,8 +244,8 @@ GOLDEN_SHA256 = {
     "verify-mixed": "04bf350f2e6fbc31362601f734aa21c5c6d136bfa95961931da8eafe55c161f9",
     "verify-J2": "640b2ce496f4207ecb762dd0f2abe2cff2eaa8f4c36f5594a1a6c2d73429e721",
     "verify-strict": "ac759b2893f7acfec338ccc2c38f4766a9c1fb6e707e29f79ced7b132c7e19b9",
-    "verify-config": "f48654213d08d17b486690146898d26cf0e5b5a624f1bf862b9d6b1b84a9735b",
-    "verify-config-J1": "825939ee40ab02ff9734b8308830b0edf293eb87431ad7d1863660dfd6b9a15f",
+    "verify-config": "88b6d2d76399355c2487f0fcfcfcf53e89234a9969f752ad665829bcecd821da",
+    "verify-config-J1": "ec879f8735e7a75edc5500cf64fc2fc7bb1807b1b1a7f284c1056c6ab902b2f0",
     "count-text": "ff7fa4b383a4be8ff92af080b0821de6003abba5e45c24d04de6fb466910cc21",
     "count-csv": "7838d4ebe70cc3ca2f82c6d4760a7dd0b4166a5ee2fc56d6bfa670ff398742ed",
     "bounds-text": "fb77a269c16e6d3719d8f12e439c9698ad6949869491a6b913182e8988ec0811",

@@ -1,0 +1,182 @@
+"""Integer restriction and the univariate sign kernel against Fraction paths.
+
+`restrict_to_line` / `restrict_to_flat2` run in Python ints on the cached
+integer form of the polynomial and return exact Fraction coefficients.
+The reference is `SparsePoly.substitute` with 1- and 2-variable linear
+axes, which multiplies Fraction polynomials.  `UniPoly.sign_at` decides
+signs by homogeneous Horner on the integer coefficients; the reference is
+the sign of `UniPoly.eval` on Fractions.
+"""
+
+from fractions import Fraction as F
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from incidence4.exactpoly import (
+    SparsePoly,
+    UniPoly,
+    restrict_to_flat2,
+    restrict_to_line,
+    sign,
+)
+from incidence4.partition import (
+    FlatInZeroSetError,
+    LineInZeroSetError,
+    PartitionPolynomial,
+    flat2_crossing_stats,
+    line_crossing_stats,
+)
+
+ORACLE = settings(max_examples=120, deadline=None)
+
+coefficients = st.fractions(min_value=-30, max_value=30, max_denominator=9)
+scalars = st.one_of(
+    st.integers(-20, 20),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+)
+vectors = st.lists(scalars, min_size=4, max_size=4).map(tuple)
+nonzero_vectors = vectors.map(lambda v: v if any(v) else (1, 0, 0, 0))
+
+
+def _cap_degree(e, max_degree):
+    out = []
+    for x in e:
+        out.append(min(x, max_degree - sum(out)))
+    return tuple(out)
+
+
+def polys4(max_degree: int = 4, min_size: int = 0):
+    exponent = st.lists(st.integers(0, max_degree), min_size=4, max_size=4).map(
+        lambda e: _cap_degree(e, max_degree)
+    )
+    return st.dictionaries(exponent, coefficients, min_size=min_size, max_size=14).map(
+        lambda terms: SparsePoly(4, terms)
+    )
+
+
+def substitute_line(p, base, direction):
+    axes = [SparsePoly(1, {(0,): b, (1,): d}) for b, d in zip(base, direction)]
+    q = p.substitute(axes)
+    return UniPoly([q.terms.get((k,), 0) for k in range(q.degree + 1)])
+
+
+def substitute_flat(p, base, u, v):
+    axes = [SparsePoly(2, {(0, 0): b, (1, 0): x, (0, 1): y}) for b, x, y in zip(base, u, v)]
+    return p.substitute(axes)
+
+
+def vanishing_form(base, directions, extra):
+    """n.(x - base) with n orthogonal to `directions` (Gram-Schmidt on
+    `extra`), so the form vanishes on the line or flat; None if n = 0."""
+    n = [F(x) for x in extra]
+    basis = []
+    for d in directions:
+        w = [F(x) for x in d]
+        for b in basis:
+            k = sum(x * y for x, y in zip(w, b)) / sum(x * x for x in b)
+            w = [x - k * y for x, y in zip(w, b)]
+        if any(w):
+            basis.append(w)
+    for b in basis:
+        k = sum(x * y for x, y in zip(n, b)) / sum(x * x for x in b)
+        n = [x - k * y for x, y in zip(n, b)]
+    if not any(n):
+        return None
+    terms = {(0, 0, 0, 0): -sum(x * y for x, y in zip(n, base))}
+    for i, x in enumerate(n):
+        terms[tuple(int(k == i) for k in range(4))] = x
+    return SparsePoly(4, terms)
+
+
+@ORACLE
+@given(p=polys4(), base=vectors, direction=nonzero_vectors)
+def test_line_matches_substitute(p, base, direction):
+    ln = SimpleNamespace(base=base, direction=direction)
+    assert restrict_to_line(p, ln) == substitute_line(p, base, direction)
+
+
+@ORACLE
+@given(p=polys4(), base=vectors, u=vectors, v=vectors)
+def test_flat_matches_substitute(p, base, u, v):
+    fl = SimpleNamespace(base=base, u=u, v=v)
+    assert restrict_to_flat2(p, fl) == substitute_flat(p, base, u, v)
+
+
+@given(base=vectors, direction=nonzero_vectors, u=vectors, v=vectors)
+def test_zero_poly_restricts_to_zero(base, direction, u, v):
+    zero = SparsePoly.zero(4)
+    assert restrict_to_line(zero, SimpleNamespace(base=base, direction=direction)).is_zero
+    assert restrict_to_flat2(zero, SimpleNamespace(base=base, u=u, v=v)).is_zero
+
+
+@ORACLE
+@given(
+    q=polys4(max_degree=3, min_size=1), base=vectors, direction=nonzero_vectors, extra=vectors
+)
+def test_factor_vanishing_on_line(q, base, direction, extra):
+    form = vanishing_form(base, [direction], extra)
+    assume(form is not None and not q.is_zero)
+    ln = SimpleNamespace(base=base, direction=direction)
+    assert restrict_to_line(q * form, ln).is_zero
+    with pytest.raises(LineInZeroSetError):
+        line_crossing_stats(ln, PartitionPolynomial((q, q * form)))
+
+
+@ORACLE
+@given(
+    q=polys4(max_degree=3, min_size=1), base=vectors, u=vectors, v=vectors, extra=vectors
+)
+def test_factor_vanishing_on_flat(q, base, u, v, extra):
+    form = vanishing_form(base, [u, v], extra)
+    assume(form is not None and not q.is_zero)
+    fl = SimpleNamespace(base=base, u=u, v=v)
+    assert restrict_to_flat2(q * form, fl).is_zero
+    with pytest.raises(FlatInZeroSetError):
+        flat2_crossing_stats(fl, PartitionPolynomial((q, q * form)))
+
+
+def test_mixed_denominators_by_hand():
+    # p = x1*x2 - 1/3 on x = (1/2, 1/3, 0, 0) + t*(2/5, -1/7, 0, 0)
+    p = SparsePoly(4, {(1, 1, 0, 0): 1, (0, 0, 0, 0): F(-1, 3)})
+    ln = SimpleNamespace(base=(F(1, 2), F(1, 3), 0, 0), direction=(F(2, 5), F(-1, 7), 0, 0))
+    # (1/2 + 2t/5)(1/3 - t/7) - 1/3 = -1/6 + (2/15 - 1/14) t - 2/35 t^2
+    assert restrict_to_line(p, ln) == UniPoly((F(-1, 6), F(2, 15) - F(1, 14), F(-2, 35)))
+
+
+# ---------------------------------------------------------------------------
+# UniPoly.sign_at
+# ---------------------------------------------------------------------------
+
+unipolys = st.lists(coefficients, max_size=9).map(UniPoly)
+
+
+@ORACLE
+@given(g=unipolys, x=scalars)
+def test_sign_at_matches_eval(g, x):
+    assert g.sign_at(x) == sign(g.eval(x))
+
+
+@ORACLE
+@given(h=unipolys, r=scalars, x=scalars)
+def test_sign_at_exact_root(h, r, x):
+    """h * (t - r) vanishes at r; at any other x it has the reference sign."""
+    g = h * UniPoly((-F(r), 1))
+    assert g.sign_at(r) == 0
+    assert g.sign_at(F(r)) == 0
+    assert g.sign_at(x) == sign(g.eval(x))
+
+
+@given(value=coefficients, x=scalars)
+def test_sign_at_constants_and_zero(value, x):
+    assert UniPoly.constant(value).sign_at(x) == sign(value)
+    assert UniPoly.zero().sign_at(x) == 0
+
+
+def test_integer_coeffs_primitive_and_positive():
+    g = UniPoly((F(3, 2), F(-3, 4), F(9, 8)))
+    # 8 * (3/2, -3/4, 9/8) = (12, -6, 9), divided by their gcd 3
+    assert g.integer_coeffs == (4, -2, 3)
+    assert UniPoly((F(-2), F(-4))).integer_coeffs == (-1, -2)
+    assert UniPoly.zero().integer_coeffs == ()
