@@ -3,7 +3,9 @@
 Subpackages:
 
   exactpoly  -- rational scalars, sparse polynomials, restriction to
-                flats, Sturm root counting, resultants, Bezout checks
+                flats, an integer univariate core (Descartes root
+                isolation, mod-p certificates, subresultant gcds and
+                resultants), Bezout checks
   flats      -- lines, 2-flats, hyperplanes, exact incidence outcomes
   configs    -- seeded configuration generators and JSON persistence
   partition  -- ham-sandwich partitioning polynomials, cell ids,

@@ -54,9 +54,10 @@ OUT_DIR_ENV = "INCIDENCE4_OUT_DIR"
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Everything run_experiment needs, deterministically."""
+    """Everything run_experiment needs, deterministically.  `generator`
+    is None when run_experiment is given a preloaded configuration."""
 
-    generator: GeneratorSpec
+    generator: GeneratorSpec | None
     seed: int | None = None
     partition: PartitionParams | None = None
     partition_seed: int = 0
@@ -126,6 +127,8 @@ def run_experiment(spec: ExperimentSpec, preloaded: ConfigurationSet | None = No
     bounds against the exact counts."""
     if preloaded is not None:
         cfg, truth = preloaded, None
+    elif spec.generator is None:
+        raise ValueError("an experiment needs a generator or a preloaded configuration")
     else:
         cfg, truth = _make_configuration(spec.generator, spec.seed)
     incidences = count_incidences(cfg)
@@ -526,12 +529,11 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "verify":
-        cfg = load_config(args.config) if args.config else None
-        if cfg is None:
-            generator, seed = _generator_from_args(args), args.seed
+        if args.config:
+            cfg = load_config(args.config)
+            generator, seed = None, cfg.seed
         else:
-            generator = GeneratorSpec(GeneratorKind.GENERIC, cfg.num_lines, cfg.num_planes)
-            seed = cfg.seed
+            cfg, generator, seed = None, _generator_from_args(args), args.seed
         spec = ExperimentSpec(
             generator,
             seed=seed,

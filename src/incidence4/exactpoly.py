@@ -24,13 +24,40 @@ and each is exact because it only multiplies by positive constants:
                   c_e * M^(D-|e|) * prod form_i^e_i is the restriction
                   times M^D times the scale, and one division per
                   coefficient returns the exact Fraction restriction.
-  `UniPoly.sign_at`  the sign of a univariate polynomial at x = p/q
-                  (q > 0): the sum of c_i p^i q^(n-i), by homogeneous
-                  Horner, is g(x) times q^n times the scale.  Sturm sign
-                  variations, root isolation and refinement, root
-                  comparison and the line cell profile decide every sign
-                  this way; `UniPoly.eval` is left for the uses that need
-                  values.
+  `_sign_at`      the sign of an integer univariate polynomial at
+                  x = p/q (q > 0): the sum of c_i p^i q^(n-i), by
+                  homogeneous Horner, is g(x) times q^n.  Root isolation,
+                  refinement and comparison and the line cell profile
+                  decide every sign this way; `UniPoly.eval` is left for
+                  the uses that need values.
+
+The univariate core works on those integer coefficients:
+
+  isolation       `isolate_real_roots` runs Descartes bisection
+                  (Vincent-Collins-Akritas; Collins & Akritas 1976,
+                  Rouillier & Zimmermann 2004) on the square-free part:
+                  the roots in (0, 2^K) of f(x) and f(-x), with 2^K a
+                  root bound, are mapped onto (0, 1), and each interval's
+                  polynomial comes from its parent by a homothety by 2
+                  and a Taylor shift by 1, all in ints.  Descartes' rule
+                  of signs is exact when it reports 0 or 1 roots.
+  certificates    with the prime p = CERTIFICATE_PRIME:
+                  - square-free: if p does not divide lc(f) and
+                    gcd(f mod p, f' mod p) = 1, f is square-free over Q.
+                    A repeated factor g^2 of f would, by Gauss's lemma,
+                    be one in Z[x], with lc(g) dividing lc(f); so g mod p
+                    would keep its degree and divide f mod p and f' mod p.
+                  - coprime: if p divides neither leading coefficient
+                    and gcd(f mod p, g mod p) = 1, f and g are coprime
+                    over Q, by the same argument for a common factor.
+                    `merge_real_roots` then only refines intervals to
+                    order two roots; it never computes a gcd or counts
+                    roots.
+  fallback        when a certificate fails, one exact gcd over Z[x] runs:
+                  the subresultant PRS (Collins 1967; Brown & Traub
+                  1971), whose divisions are all exact.  The same routine
+                  over Z[x][y] gives the resultants and the psc_1 of the
+                  bivariate Bezout check.
 
 Representations:
 
@@ -346,12 +373,6 @@ class UniPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @property
-    def leading(self) -> Fraction:
-        if self.is_zero:
-            raise ZeroPolynomialError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, UniPoly) and self.coeffs == other.coeffs
 
@@ -392,17 +413,8 @@ class UniPoly:
         return total
 
     def sign_at(self, x) -> int:
-        """Exact sign at the rational x = p/q (q > 0): the sign of
-        sum c_i p^i q^(n-i) over the integer form, by homogeneous Horner."""
-        cs = self.integer_coeffs
-        if not cs:
-            return 0
-        p, q = x.numerator, x.denominator
-        total, qk = cs[-1], 1
-        for c in cs[-2::-1]:
-            qk *= q
-            total = total * p + c * qk
-        return (total > 0) - (total < 0)
+        """Exact sign at the rational x (see `_sign_at`)."""
+        return _sign_at(self.integer_coeffs, x)
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
         n = max(len(self.coeffs), len(other.coeffs))
@@ -410,16 +422,6 @@ class UniPoly:
         for i, c in enumerate(other.coeffs):
             a[i] += c
         return UniPoly(a)
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [ZERO] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] -= c
-        return UniPoly(a)
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other) -> "UniPoly":
         if isinstance(other, (int, Fraction)):
@@ -437,51 +439,38 @@ class UniPoly:
 
     __rmul__ = __mul__
 
-    def derivative(self) -> "UniPoly":
-        return UniPoly(tuple(c * i for i, c in enumerate(self.coeffs) if i))
 
-    def divmod(self, divisor: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        """Exact polynomial division over Q: self = q*divisor + r."""
-        if divisor.is_zero:
-            raise ZeroPolynomialError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        dlc = divisor.leading
-        dn = divisor.degree
-        q = [ZERO] * max(0, len(rem) - dn)
-        for k in range(len(rem) - dn - 1, -1, -1):
-            factor = rem[k + dn] / dlc
-            if factor == 0:
-                continue
-            q[k] = factor
-            for i, c in enumerate(divisor.coeffs):
-                rem[k + i] -= factor * c
-        return UniPoly(q), UniPoly(rem)
+def _sign_at(cs: Sequence[int], x) -> int:
+    """Sign of the integer polynomial cs at the rational x = p/q (q > 0):
+    the sign of sum c_i p^i q^(n-i), by homogeneous Horner."""
+    if not cs:
+        return 0
+    p, q = x.numerator, x.denominator
+    total, qk = cs[-1], 1
+    for c in cs[-2::-1]:
+        qk *= q
+        total = total * p + c * qk
+    return (total > 0) - (total < 0)
 
-    def monic(self) -> "UniPoly":
-        if self.is_zero:
-            return self
-        lc = self.leading
-        return UniPoly(tuple(c / lc for c in self.coeffs))
+
+def _monic(cs: Sequence[int]) -> UniPoly:
+    """The monic rational polynomial of a nonzero integer one."""
+    return UniPoly(Fraction(c, cs[-1]) for c in cs)
 
 
 def gcd_uni(a: UniPoly, b: UniPoly) -> UniPoly:
     """Monic gcd over Q (the zero polynomial is absorbing)."""
-    while not b.is_zero:
-        _, r = a.divmod(b)
-        a, b = b, r
-    return a.monic() if not a.is_zero else a
+    if a.is_zero or b.is_zero:
+        other = b if a.is_zero else a
+        return other if other.is_zero else _monic(other.integer_coeffs)
+    return _monic(_gcd_z(a.integer_coeffs, b.integer_coeffs))
 
 
 def square_free_part(f: UniPoly) -> UniPoly:
     """f with all root multiplicities reduced to one (monic)."""
     if f.is_zero:
         raise ZeroPolynomialError("square-free part of the zero polynomial")
-    if f.degree == 0:
-        return UniPoly.constant(1)
-    g = gcd_uni(f, f.derivative())
-    q, r = f.divmod(g)
-    assert r.is_zero
-    return q.monic()
+    return _monic(_square_free(f.integer_coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -569,92 +558,315 @@ def _mul_packed(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Sturm sequences: exact root counting and isolation
+# Integer polynomial arithmetic: subresultants and mod-p certificates
 # ---------------------------------------------------------------------------
 
-def sturm_chain(f: UniPoly) -> list[UniPoly]:
-    """Signed remainder chain f, f', -rem(...), ... ending at a nonzero poly."""
-    chain = [f, f.derivative()]
-    if chain[1].is_zero:
-        return chain[:1]
-    while True:
-        _, r = chain[-2].divmod(chain[-1])
-        if r.is_zero:
-            return chain
-        chain.append(-r)
+def _primitive(cs: Sequence[int]) -> tuple[int, ...]:
+    """cs divided by its content, with a positive leading coefficient."""
+    g = math.gcd(*cs)
+    if cs[-1] < 0:
+        g = -g
+    return tuple(c // g for c in cs)
 
 
-def _variations(values: Iterable[int]) -> int:
-    count = 0
-    prev = 0
-    for s in values:
-        if s == 0:
-            continue
-        if prev and s != prev:
-            count += 1
-        prev = s
+def _exact_div(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The quotient a / b of integer polynomials when b divides a in Z[x]."""
+    r = list(a)
+    n = len(b) - 1
+    q = [0] * max(0, len(r) - n)
+    for k in range(len(q) - 1, -1, -1):
+        qk, rem = divmod(r[k + n], b[-1])
+        if rem:
+            raise ArithmeticError("inexact polynomial division")
+        if qk:
+            q[k] = qk
+            for i, c in enumerate(b):
+                r[k + i] -= qk * c
+    if any(r):
+        raise ArithmeticError("inexact polynomial division")
+    return q
+
+
+class _ZX:
+    """An element of Z[x], the coefficient ring of the subresultant PRS
+    over Z[x][y]: integer coefficients, lowest degree first, no trailing
+    zeros.  It has the operators the PRS uses on ints (`//` is exact
+    division)."""
+
+    __slots__ = ("c",)
+
+    def __init__(self, coeffs: Iterable[int]):
+        c = list(coeffs)
+        while c and not c[-1]:
+            c.pop()
+        self.c = tuple(c)
+
+    def __bool__(self) -> bool:
+        return bool(self.c)
+
+    def __neg__(self) -> "_ZX":
+        return _ZX(-v for v in self.c)
+
+    def __sub__(self, other: "_ZX") -> "_ZX":
+        out = list(self.c) + [0] * (len(other.c) - len(self.c))
+        for i, v in enumerate(other.c):
+            out[i] -= v
+        return _ZX(out)
+
+    def __mul__(self, other: "_ZX") -> "_ZX":
+        if not self.c or not other.c:
+            return _ZX(())
+        out = [0] * (len(self.c) + len(other.c) - 1)
+        for i, a in enumerate(self.c):
+            if a:
+                for j, b in enumerate(other.c):
+                    out[i + j] += a * b
+        return _ZX(out)
+
+    def __pow__(self, k: int) -> "_ZX":
+        out = _ZX((1,))
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def __floordiv__(self, other: "_ZX") -> "_ZX":
+        return _ZX(_exact_div(self.c, other.c))
+
+
+def _prem(a: list, b: list) -> list:
+    """Pseudo-remainder of lc(b)^(deg a - deg b + 1) * a by b, for
+    coefficient lists (lowest degree first) over Z or Z[x]."""
+    r = list(a)
+    n = len(b) - 1
+    lb = b[-1]
+    e = len(a) - n
+    while len(r) > n:
+        lead = r.pop()
+        shift = len(r) - n
+        r = [lb * c for c in r]
+        for i in range(n):
+            r[shift + i] = r[shift + i] - lead * b[i]
+        while r and not r[-1]:
+            r.pop()
+        e -= 1
+    if e:
+        k = lb**e
+        r = [k * c for c in r]
+    return r
+
+
+def _prs(a: list, b: list):
+    """Subresultant PRS of nonzero a and b with deg a >= deg b >= 0, not
+    both constant, with coefficients in Z (ints) or Z[x] (`_ZX`) (Collins
+    1967; Brown & Traub 1971; Cohen, GTM 138, Algorithms 3.3.1 and 3.3.7).
+
+    Returns (chain, s).  `chain` lists the members from b on, each with
+    the principal subresultant coefficient of its degree (up to sign); its
+    last entry is the last nonzero member, which is gcd(a, b) up to a
+    factor from the coefficient ring.  When that member is a constant,
+    Res(a, b) is s times the coefficient listed with it; otherwise
+    Res(a, b) = 0.  Every division is exact, so coefficients stay as
+    small as subresultants.
+    """
+    s = 1
+    g = h = b[-1] ** 0  # the ring's one
+    chain = []
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        if len(a) % 2 == 0 and len(b) % 2 == 0:
+            s = -s  # both degrees odd
+        r = _prem(a, b)
+        div = g * h**delta
+        a, b = b, [c // div for c in r]
+        g = a[-1]
+        if delta:
+            h = g**delta // h ** (delta - 1)
+        chain.append((a, h))
+        if not b:
+            return chain, s
+    n = len(a) - 1
+    chain.append((b, b[0] ** n // h ** (n - 1)))
+    return chain, s
+
+
+def _gcd_z(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """Primitive gcd (positive leading coefficient) of two nonzero
+    integer polynomials, by the subresultant PRS over Z."""
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        return (1,)
+    last, _ = _prs(list(a), list(b))[0][-1]
+    return _primitive(last)
+
+
+CERTIFICATE_PRIME = 2**31 - 1
+
+
+def _gcd_degree_mod_p(a: Sequence[int], b: Sequence[int]) -> int:
+    """Degree of gcd(a mod p, b mod p) over GF(p), p = CERTIFICATE_PRIME
+    (-1 when both reduce to zero)."""
+    p = CERTIFICATE_PRIME
+    polys = []
+    for cs in (a, b):
+        r = [c % p for c in cs]
+        while r and not r[-1]:
+            r.pop()
+        polys.append(r)
+    a, b = polys
+    while b:
+        n = len(b) - 1
+        inv = pow(b[-1], -1, p)
+        r = a
+        while len(r) > n:
+            k = r.pop() * inv % p
+            shift = len(r) - n
+            for i in range(n):
+                r[shift + i] = (r[shift + i] - k * b[i]) % p
+            while r and not r[-1]:
+                r.pop()
+        a, b = b, r
+    return len(a) - 1
+
+
+def _square_free(cs: tuple[int, ...]) -> tuple[int, ...]:
+    """Primitive square-free part of a nonzero primitive integer
+    polynomial: cs itself when the mod-p certificate holds, otherwise
+    cs / gcd(cs, cs') by the exact subresultant gcd."""
+    if len(cs) <= 2:
+        return cs
+    d = [i * c for i, c in enumerate(cs)][1:]
+    if cs[-1] % CERTIFICATE_PRIME and _gcd_degree_mod_p(cs, d) == 0:
+        return cs
+    g = _gcd_z(cs, d)
+    return cs if len(g) == 1 else _primitive(_exact_div(cs, g))
+
+
+def _shared_factor(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...] | None:
+    """gcd of two square-free integer polynomials, or None when they are
+    coprime.  The mod-p coprimality certificate settles most pairs
+    without any gcd over Z."""
+    p = CERTIFICATE_PRIME
+    if f[-1] % p and g[-1] % p and _gcd_degree_mod_p(f, g) == 0:
+        return None
+    h = _gcd_z(f, g)
+    return h if len(h) > 1 else None
+
+
+# ---------------------------------------------------------------------------
+# Descartes (Vincent-Collins-Akritas) root isolation
+# ---------------------------------------------------------------------------
+
+def _taylor_shift(q: Sequence[int]) -> list[int]:
+    """q(x + 1), by repeated synthetic additions."""
+    a = list(q)
+    n = len(a) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            a[j] += a[j + 1]
+    return a
+
+
+def _descartes(q: Sequence[int]) -> int:
+    """Sign variations of (x+1)^n q(1/(x+1)), capped at 2: an upper bound
+    on the roots of q in (0, 1) of the same parity, and exact when it is
+    0 or 1 (Descartes' rule of signs)."""
+    count, prev = 0, 0
+    for c in _taylor_shift(q[::-1]):
+        if c:
+            if prev and (c < 0) != (prev < 0):
+                count += 1
+                if count == 2:
+                    return 2
+            prev = c
     return count
 
 
-def _variations_at(chain: Sequence[UniPoly], x: Fraction) -> int:
-    return _variations(g.sign_at(x) for g in chain)
+def _unit_roots(q: list[int], lo_root: bool) -> list[tuple[int, int, bool]]:
+    """The roots in (0, 1) of a square-free integer polynomial q, by
+    Descartes bisection (Collins & Akritas 1976): (c, k, exact) per root in
+    increasing order.  An exact root is c/2^k; otherwise the root is the
+    only one in (c/2^k, (c+1)/2^k), and neither endpoint is a root of the
+    polynomial being isolated.  `lo_root` says that 0 is such a root (q
+    has it divided out already).
 
-
-def _variations_at_inf(chain: Sequence[UniPoly], positive: bool) -> int:
-    signs = []
-    for g in chain:
-        if g.is_zero:
-            signs.append(0)
-            continue
-        s = sign(g.leading)
-        if not positive and g.degree % 2 == 1:
-            s = -s
-        signs.append(s)
-    return _variations(signs)
-
-
-def sturm_root_count(f: UniPoly, lo=None, hi=None) -> int:
-    """Number of distinct real roots of f in (lo, hi].
-
-    `lo=None` / `hi=None` stand for -infinity / +infinity; with both
-    infinite this is the total number of distinct real roots.  Works for
-    arbitrary nonzero f (multiplicities are collapsed via the square-free
-    part); raises ZeroPolynomialError for the zero polynomial.
+    Each node of the search holds its interval's polynomial, mapped onto
+    (0, 1) and scaled by a positive integer: the left half is the
+    homothety 2^n q(x/2), the right half its Taylor shift by 1.
     """
-    if f.is_zero:
-        raise ZeroPolynomialError("root counting needs a nonzero polynomial")
-    if f.degree == 0:
-        return 0
-    g = square_free_part(f)
-    if g.degree == 0:
-        return 0
-    chain = sturm_chain(g)
-    va = _variations_at(chain, rat(lo)) if lo is not None else _variations_at_inf(chain, False)
-    vb = _variations_at(chain, rat(hi)) if hi is not None else _variations_at_inf(chain, True)
-    if lo is not None and hi is not None and rat(lo) > rat(hi):
-        raise ValueError("empty interval: lo > hi")
-    return va - vb
+    out = []
+    stack = [(q, 0, 0, lo_root, False)]
+    while stack:
+        q, c, k, lo_root, hi_root = stack.pop()
+        if q is None:
+            out.append((c, k, True))
+            continue
+        v = _descartes(q)
+        if v == 0:
+            continue
+        if v == 1 and not (lo_root or hi_root):
+            out.append((c, k, False))
+            continue
+        n = len(q) - 1
+        left = [a << (n - i) for i, a in enumerate(q)]
+        right = _taylor_shift(left)
+        mid_root = right[0] == 0
+        stack.append((right[1:] if mid_root else right, 2 * c + 1, k + 1, mid_root, hi_root))
+        if mid_root:
+            stack.append((None, 2 * c + 1, k + 1, False, False))
+        stack.append((left, 2 * c, k + 1, lo_root, mid_root))
+    return out
 
 
-def cauchy_root_bound(f: UniPoly) -> Fraction:
-    """B with every real root of f strictly inside (-B, B)."""
-    if f.is_zero:
-        raise ZeroPolynomialError("root bound of the zero polynomial")
-    lc = abs(f.leading)
-    top = max((abs(c) for c in f.coeffs[:-1]), default=ZERO)
-    return ONE + top / lc
+def _dyadic(c: int, e: int) -> Fraction:
+    return Fraction(c << e) if e >= 0 else Fraction(c, 1 << -e)
 
+
+def _real_root_intervals(cs: tuple[int, ...]) -> list[tuple[Fraction, Fraction]]:
+    """Sorted isolating intervals (lo, hi) of the real roots of a
+    square-free integer polynomial; lo == hi for a root found exactly.
+
+    Every root has modulus below 2^K by Fujiwara's bound, so the roots
+    in (0, 2^K) of cs and of cs(-x) are isolated on the unit interval
+    after scaling x by 2^K.
+    """
+    zero = cs[0] == 0
+    if zero:
+        cs = cs[1:]
+    neg: list[tuple[Fraction, Fraction]] = []
+    pos: list[tuple[Fraction, Fraction]] = []
+    n = len(cs) - 1
+    if n > 0:
+        top = abs(cs[-1]).bit_length()
+        K = 1 + max(
+            -((top - abs(c).bit_length() - 1) // (n - i)) for i, c in enumerate(cs[:-1]) if c
+        )
+        for out, sgn in ((neg, -1), (pos, 1)):
+            g = [c if sgn > 0 or i % 2 == 0 else -c for i, c in enumerate(cs)]  # g(x) = cs(sgn*x)
+            q = [c << (K * i) if K >= 0 else c << (-K * (n - i)) for i, c in enumerate(g)]
+            for c, k, exact in _unit_roots(q, zero):
+                lo = _dyadic(c, K - k)
+                hi = lo if exact else _dyadic(c + 1, K - k)
+                out.append((lo, hi) if sgn > 0 else (-hi, -lo))
+    return neg[::-1] + [(ZERO, ZERO)] * zero + pos
+
+
+# ---------------------------------------------------------------------------
+# Isolated real roots: counting, comparison, merging
+# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class IsolatedRoot:
-    """One distinct real root of a square-free polynomial.
+    """One distinct real root of a square-free integer polynomial.
 
+    `coeffs` holds the polynomial (primitive, lowest degree first).
     Either `value` is set (the root is the exact rational `value`) or
-    `lo < root < hi` with poly(lo) and poly(hi) nonzero of opposite sign;
-    `lo_sign` carries the sign of poly(lo), so no step re-evaluates it.
+    `lo < root < hi` with the polynomial nonzero of opposite signs at lo
+    and hi; `lo_sign` carries the sign at lo, so no step re-evaluates it.
     """
 
-    poly: UniPoly
+    coeffs: tuple[int, ...]
     lo: Fraction
     hi: Fraction
     lo_sign: int = field(compare=False)
@@ -679,7 +891,7 @@ class IsolatedRoot:
             return 1
         if c >= self.hi:
             return -1
-        s = self.poly.sign_at(c)
+        s = _sign_at(self.coeffs, c)
         if s == 0:
             return 0
         return 1 if s == self.lo_sign else -1
@@ -689,12 +901,22 @@ class IsolatedRoot:
         if self.is_exact:
             return self
         mid = (self.lo + self.hi) / 2
-        s = self.poly.sign_at(mid)
+        s = _sign_at(self.coeffs, mid)
         if s == 0:
-            return IsolatedRoot(self.poly, mid, mid, 0, mid)
+            return IsolatedRoot(self.coeffs, mid, mid, 0, mid)
         if s == self.lo_sign:
-            return IsolatedRoot(self.poly, mid, self.hi, s)
-        return IsolatedRoot(self.poly, self.lo, mid, self.lo_sign)
+            return IsolatedRoot(self.coeffs, mid, self.hi, s)
+        return IsolatedRoot(self.coeffs, self.lo, mid, self.lo_sign)
+
+
+def _separate(roots: list[IsolatedRoot]) -> list[IsolatedRoot]:
+    """Refine sorted roots until consecutive intervals leave a gap."""
+    for i in range(len(roots) - 1):
+        a, b = roots[i], roots[i + 1]
+        while not a.upper() < b.lower():
+            a, b = a.refined(), b.refined()
+        roots[i], roots[i + 1] = a, b
+    return roots
 
 
 def isolate_real_roots(f: UniPoly) -> list[IsolatedRoot]:
@@ -705,114 +927,100 @@ def isolate_real_roots(f: UniPoly) -> list[IsolatedRoot]:
     """
     if f.is_zero:
         raise ZeroPolynomialError("cannot isolate roots of the zero polynomial")
-    g = square_free_part(f)
-    if g.degree <= 0:
+    cs = _square_free(f.integer_coeffs)
+    if len(cs) <= 1:
         return []
-    chain = sturm_chain(g)
-    bound = cauchy_root_bound(g)
+    return _separate([
+        IsolatedRoot(cs, lo, lo, 0, lo) if lo == hi else IsolatedRoot(cs, lo, hi, _sign_at(cs, lo))
+        for lo, hi in _real_root_intervals(cs)
+    ])
 
-    def var(x: Fraction) -> int:
-        return _variations_at(chain, x)
 
-    roots: list[IsolatedRoot] = []
+def sturm_root_count(f: UniPoly, lo=None, hi=None) -> int:
+    """Number of distinct real roots of f in (lo, hi].
 
-    def split_point(a: Fraction, b: Fraction) -> Fraction:
-        # Pick a bisection point that is not itself a root.
-        mid = (a + b) / 2
-        step = (b - a) / 4
-        while g.sign_at(mid) == 0:
-            mid += step
-            step /= 3
-        return mid
+    `lo=None` / `hi=None` stand for -infinity / +infinity; with both
+    infinite this is the total number of distinct real roots.  Works for
+    arbitrary nonzero f (multiplicities are collapsed via the square-free
+    part); raises ZeroPolynomialError for the zero polynomial.
+    """
+    if f.is_zero:
+        raise ZeroPolynomialError("root counting needs a nonzero polynomial")
+    if lo is not None and hi is not None and rat(lo) > rat(hi):
+        raise ValueError("empty interval: lo > hi")
+    return sum(
+        1
+        for r in isolate_real_roots(f)
+        if (lo is None or r.compare_to(lo) > 0) and (hi is None or r.compare_to(hi) <= 0)
+    )
 
-    def recurse(a: Fraction, b: Fraction, va: int, vb: int) -> None:
-        k = va - vb
-        if k == 0:
-            return
-        if k == 1:
-            sa, sb = g.sign_at(a), g.sign_at(b)
-            if sa * sb < 0:
-                roots.append(IsolatedRoot(g, a, b, sa))
-                return
-            # Endpoint lands on a root or signs agree: shrink first.
-        m = split_point(a, b)
-        vm = var(m)
-        recurse(a, m, va, vm)
-        recurse(m, b, vm, vb)
 
-    recurse(-bound, bound, var(-bound), var(bound))
-    roots.sort(key=lambda r: (r.lower(), r.upper()))
+def _compare(a: IsolatedRoot, b: IsolatedRoot, factor) -> tuple[int, IsolatedRoot, IsolatedRoot]:
+    """(-1, 0 or +1 ordering of the roots, a refined, b refined).
 
-    # Shrink until pairwise disjoint with a usable gap between intervals.
-    for i in range(len(roots) - 1):
-        a, b = roots[i], roots[i + 1]
-        while not a.upper() < b.lower():
-            if not a.is_exact:
-                a = a.refined()
-            if not b.upper() > a.upper() or not b.is_exact:
-                b = b.refined()
-            if a.is_exact and b.is_exact:
-                break
-        roots[i], roots[i + 1] = a, b
-    return roots
+    `factor()` is the gcd of the two polynomials or None when they are
+    coprime; it is asked for at most once, when the intervals first
+    overlap.  Over their overlap I, the gcd changes sign exactly when
+    both roots are its one root there: I lies in each isolating interval,
+    which holds at most one root of the (square-free) gcd, and the gcd is
+    nonzero at the endpoints, which are endpoints of a or b.  Otherwise
+    the roots differ, and refining separates them.
+    """
+    checked = False
+    while True:
+        if a.is_exact:
+            c = sign(a.value - b.value) if b.is_exact else -b.compare_to(a.value)
+            return c, a, b
+        if b.is_exact:
+            return a.compare_to(b.value), a, b
+        if a.hi <= b.lo:
+            return -1, a, b
+        if b.hi <= a.lo:
+            return 1, a, b
+        if not checked:
+            checked = True
+            h = factor()
+            if h is not None and _sign_at(h, max(a.lo, b.lo)) != _sign_at(h, min(a.hi, b.hi)):
+                return 0, a, b
+        a, b = a.refined(), b.refined()
 
 
 def compare_roots(r1: IsolatedRoot, r2: IsolatedRoot) -> int:
     """-1, 0, +1 ordering of two isolated real roots, possibly of
-    different polynomials.
-
-    Equality of roots of distinct polynomials is decided through their
-    gcd: each isolating interval holds at most one root of the gcd, so
-    once both roots are certified to be gcd roots and their interval
-    hull contains exactly one, they coincide.
-    """
-    if r1.is_exact and r2.is_exact:
-        return sign(r1.value - r2.value)
-    if r1.is_exact:
-        return -r2.compare_to(r1.value)
-    if r2.is_exact:
-        return r1.compare_to(r2.value)
-    common = None  # gcd of the two polynomials, computed on first need
-    a, b = r1, r2
-    while True:
-        if a.upper() < b.lower():
-            return -1
-        if b.upper() < a.lower():
-            return 1
-        if a.is_exact:
-            return -b.compare_to(a.value)
-        if b.is_exact:
-            return a.compare_to(b.value)
-        if common is None:
-            common = r1.poly if r1.poly == r2.poly else gcd_uni(r1.poly, r2.poly)
-        if common.degree > 0:
-            in_a = sturm_root_count(common, a.lo, a.hi) == 1
-            in_b = sturm_root_count(common, b.lo, b.hi) == 1
-            if in_a and in_b:
-                hull_lo = min(a.lo, b.lo)
-                hull_hi = max(a.hi, b.hi)
-                if sturm_root_count(common, hull_lo, hull_hi) == 1:
-                    return 0
-            else:
-                common = UniPoly.constant(1)  # roots cannot coincide
-        a, b = a.refined(), b.refined()
+    different polynomials (see `_compare`)."""
+    return _compare(r1, r2, lambda: _shared_factor(r1.coeffs, r2.coeffs))[0]
 
 
 def merge_real_roots(root_lists: Sequence[Sequence[IsolatedRoot]]) -> list[IsolatedRoot]:
     """Sorted distinct union of isolated roots from several polynomials.
 
-    Shared roots are collapsed; the returned roots are refined until
-    their intervals are pairwise disjoint, so the gaps between them are
-    certified free of roots of every contributing polynomial.
+    Each list holds the roots of one polynomial, as `isolate_real_roots`
+    returns them.  Shared roots are collapsed; the common factor of two
+    polynomials is decided at most once per pair (a mod-p coprimality
+    certificate, else an exact gcd), and the refinements that comparisons
+    make are kept.  The returned roots are refined until their intervals
+    are pairwise disjoint, so the gaps between them are certified free of
+    roots of every contributing polynomial.
     """
+    shared: dict[tuple[int, int], tuple[int, ...] | None] = {}
+
+    def factor(i: int, j: int, f: tuple[int, ...], g: tuple[int, ...]):
+        if (i, j) not in shared:
+            shared[i, j] = _shared_factor(f, g)
+        return shared[i, j]
+
     merged: list[IsolatedRoot] = []
-    for roots in root_lists:
+    owner: list[int] = []
+    for i, roots in enumerate(root_lists):
         for r in roots:
             lo, hi = 0, len(merged)
             dup = False
             while lo < hi:
                 mid = (lo + hi) // 2
-                c = compare_roots(r, merged[mid])
+                j, other = owner[mid], merged[mid]
+                c, r, merged[mid] = _compare(
+                    r, other, lambda: factor(j, i, other.coeffs, r.coeffs)
+                )
                 if c == 0:
                     dup = True
                     break
@@ -822,15 +1030,8 @@ def merge_real_roots(root_lists: Sequence[Sequence[IsolatedRoot]]) -> list[Isola
                     lo = mid + 1
             if not dup:
                 merged.insert(lo, r)
-    for i in range(len(merged) - 1):
-        a, b = merged[i], merged[i + 1]
-        while not a.upper() < b.lower():
-            a = a.refined()
-            b = b.refined()
-            if a.is_exact and b.is_exact:
-                break
-        merged[i], merged[i + 1] = a, b
-    return merged
+                owner.insert(lo, i)
+    return _separate(merged)
 
 
 def sample_points_between_roots(roots: Sequence[IsolatedRoot]) -> list[Fraction]:
@@ -864,102 +1065,37 @@ def sample_points_between_roots(roots: Sequence[IsolatedRoot]) -> list[Fraction]
 
 
 # ---------------------------------------------------------------------------
-# Determinants and Sylvester matrices
-# ---------------------------------------------------------------------------
-
-def _det(matrix: list[list[Fraction]]) -> Fraction:
-    """Exact determinant by fraction Gaussian elimination."""
-    n = len(matrix)
-    if n == 0:
-        return ONE
-    m = [row[:] for row in matrix]
-    det = ONE
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return ZERO
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = ONE / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] == 0:
-                continue
-            factor = m[r][col] * inv
-            for c in range(col, n):
-                m[r][c] -= factor * m[col][c]
-    return det
-
-
-def _sylvester(c1: list, c2: list) -> list[list]:
-    """Sylvester matrix of two coefficient lists (lowest degree first)."""
-    e1, e2 = len(c1) - 1, len(c2) - 1
-    size = e1 + e2
-    rev1, rev2 = c1[::-1], c2[::-1]
-    zero = UniPoly.zero()
-    rows = [[zero] * i + rev1 + [zero] * (size - i - e1 - 1) for i in range(e2)]
-    rows += [[zero] * i + rev2 + [zero] * (size - i - e2 - 1) for i in range(e1)]
-    return rows
-
-
-# ---------------------------------------------------------------------------
 # Bivariate systems: common factors and real intersection counting
 # ---------------------------------------------------------------------------
 
-def bipoly_coeffs_in(q: SparsePoly, var: int) -> list[UniPoly]:
-    """Coefficients of q grouped by the power of variable `var` (0 or 1);
-    entry d is a UniPoly in the other variable."""
+def _coeffs_in(q: SparsePoly, var: int) -> list[_ZX]:
+    """q's primitive integer form as a polynomial in variable `var` (0 or
+    1) over Z[other variable]: entry d is the coefficient of var^d."""
     if q.nvars != 2:
         raise ValueError("expects a two-variable polynomial")
-    other = 1 - var
-    maxdeg = max((e[var] for e in q.terms), default=-1)
-    buckets: list[dict[int, Fraction]] = [dict() for _ in range(maxdeg + 1)]
-    for e, c in q.terms.items():
-        buckets[e[var]][e[other]] = c
+    buckets: dict[int, dict[int, int]] = {}
+    for c, e, _ in q.integer_terms:
+        buckets.setdefault(e[var], {})[e[1 - var]] = c
     out = []
-    for bucket in buckets:
-        size = max(bucket, default=-1) + 1
-        out.append(UniPoly([bucket.get(i, ZERO) for i in range(size)]))
+    for d in range(max(buckets) + 1):
+        bucket = buckets.get(d, {})
+        out.append(_ZX(bucket.get(i, 0) for i in range(max(bucket, default=-1) + 1)))
     return out
 
 
-def _interp_poly(samples: list[tuple[Fraction, Fraction]]) -> UniPoly:
-    """Lagrange interpolation through (x, value) pairs."""
-    total = UniPoly.zero()
-    xs = [x for x, _ in samples]
-    for i, (xi, yi) in enumerate(samples):
-        if yi == 0:
-            continue
-        num = UniPoly.constant(yi)
-        den = ONE
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            num = num * UniPoly((-xj, ONE))
-            den *= xi - xj
-        total = total + num * (ONE / den)
-    return total
-
-
-def _matrix_det_poly(entries: list[list[UniPoly]], degree_bound: int) -> UniPoly:
-    """Determinant of a matrix of univariate polynomials, by evaluation
-    and interpolation (checked at two extra sample points)."""
-    npts = degree_bound + 1
-    samples = []
-    for k in range(npts + 2):
-        x = Fraction(k)
-        mat = [[e.eval(x) for e in row] for row in entries]
-        samples.append((x, _det(mat)))
-    poly = _interp_poly(samples[:npts])
-    for x, val in samples[npts:]:
-        if poly.eval(x) != val:
-            raise ArithmeticError("resultant degree bound violated")
-    return poly
+def _resultant(a: list[_ZX], b: list[_ZX]) -> _ZX:
+    """Res(a, b) of two nonzero polynomials over Z[x]; 1 when both are
+    constants, a^deg b when only a is."""
+    if len(a) < len(b):
+        r = _resultant(b, a)
+        return -r if (len(a) - 1) * (len(b) - 1) % 2 else r
+    if len(a) == 1:
+        return _ZX((1,))
+    chain, s = _prs(a, b)
+    last, psc = chain[-1]
+    if len(last) > 1:
+        return _ZX(())
+    return psc if s > 0 else -psc
 
 
 def resultant_bivariate(q1: SparsePoly, q2: SparsePoly, eliminate: int) -> UniPoly:
@@ -967,27 +1103,24 @@ def resultant_bivariate(q1: SparsePoly, q2: SparsePoly, eliminate: int) -> UniPo
     as a polynomial in the other variable.
 
     Conventions: if one input has degree 0 in the eliminated variable it
-    is raised to the other's degree; if both do, the result is 1.
+    is raised to the other's degree; if both do, the result is 1.  The
+    subresultant PRS runs over Z[x] on the primitive integer forms; their
+    scales are divided out once at the end.
     """
     if q1.is_zero or q2.is_zero:
         raise ZeroPolynomialError("resultant needs nonzero polynomials")
-    c1 = bipoly_coeffs_in(q1, eliminate)
-    c2 = bipoly_coeffs_in(q2, eliminate)
-    e1, e2 = len(c1) - 1, len(c2) - 1
-    if e1 == 0 and e2 == 0:
+    a, b = _coeffs_in(q1, eliminate), _coeffs_in(q2, eliminate)
+    if len(a) == 1 and len(b) == 1:
         return UniPoly.constant(1)
-    if e1 == 0:
-        out = UniPoly.constant(1)
-        for _ in range(e2):
-            out = out * c1[0]
-        return out
-    if e2 == 0:
-        out = UniPoly.constant(1)
-        for _ in range(e1):
-            out = out * c2[0]
-        return out
-    bound = q1.degree * q2.degree + 1
-    return _matrix_det_poly(_sylvester(c1, c2), bound)
+    res = _resultant(a, b)
+    den = _scale(q1) ** (len(b) - 1) * _scale(q2) ** (len(a) - 1)
+    return UniPoly(c / den for c in res.c)
+
+
+def _scale(q: SparsePoly) -> Fraction:
+    """The positive constant that `integer_terms` multiplies q by."""
+    c, e, _ = q.integer_terms[0]
+    return c / q.terms[e[: q.nvars]]
 
 
 def have_common_factor(q1: SparsePoly, q2: SparsePoly) -> bool:
@@ -1001,7 +1134,7 @@ def have_common_factor(q1: SparsePoly, q2: SparsePoly) -> bool:
         raise ZeroPolynomialError("common-factor test needs nonzero polynomials")
     if q1.degree == 0 or q2.degree == 0:
         return False
-    return resultant_bivariate(q1, q2, 1).is_zero or resultant_bivariate(q1, q2, 0).is_zero
+    return any(not _resultant(_coeffs_in(q1, v), _coeffs_in(q2, v)) for v in (1, 0))
 
 
 def _shear(q: SparsePoly, lam: Fraction) -> SparsePoly:
@@ -1039,7 +1172,9 @@ def bezout_point_check(q1: SparsePoly, q2: SparsePoly):
     y-coefficients are constants and gcd(Res_y, psc_1) is trivial; then
     every fiber over a resultant root contains exactly one intersection
     point, whose y-coordinate is real whenever the root is, so the count
-    equals the number of distinct real roots of the resultant.
+    equals the number of distinct real roots of the resultant.  One
+    subresultant PRS over Z[x] yields both Res_y and psc_1 (up to sign,
+    which neither test reads).
     """
     if q1.is_zero or q2.is_zero:
         raise ZeroPolynomialError("bezout check needs nonzero polynomials")
@@ -1052,17 +1187,19 @@ def bezout_point_check(q1: SparsePoly, q2: SparsePoly):
     for lam in _SHEAR_LADDER:
         if _degree_form_at(q1, lam) == 0 or _degree_form_at(q2, lam) == 0:
             continue
-        s1 = _shear(q1, lam)
-        s2 = _shear(q2, lam)
-        res = resultant_bivariate(s1, s2, 1)
-        assert not res.is_zero
-        if res.degree == 0:
+        a, b = _coeffs_in(_shear(q1, lam), 1), _coeffs_in(_shear(q2, lam), 1)
+        if len(a) < len(b):
+            a, b = b, a
+        chain, _ = _prs(a, b)
+        last, res = chain[-1]
+        assert len(last) == 1, "coprime curves have a nonzero resultant"
+        if len(res.c) == 1:
             return False, 0
         if min(d1, d2) >= 2:
-            psc1 = _psc1_bivariate(s1, s2)
-            if psc1.is_zero or gcd_uni(res, psc1).degree > 0:
+            psc1 = next((p.c for m, p in chain if len(m) == 2), ())
+            if not psc1 or len(_gcd_z(res.c, psc1)) > 1:
                 continue
-        count = sturm_root_count(res)
+        count = len(_real_root_intervals(_square_free(_primitive(res.c))))
         if count > d1 * d2:
             raise ArithmeticError("intersection count exceeded the Bezout bound")
         return False, count
@@ -1070,15 +1207,3 @@ def bezout_point_check(q1: SparsePoly, q2: SparsePoly):
         "no shear certified generic position; the curves likely share a "
         "singular point"
     )
-
-
-def _psc1_bivariate(q1: SparsePoly, q2: SparsePoly) -> UniPoly:
-    """First principal subresultant coefficient w.r.t. y, in x."""
-    c1 = bipoly_coeffs_in(q1, 1)
-    c2 = bipoly_coeffs_in(q2, 1)
-    e1, e2 = len(c1) - 1, len(c2) - 1
-    full = _sylvester(c1, c2)
-    rows = full[: e2 - 1] + full[e2 : e2 + e1 - 1]
-    sub = [row[: e1 + e2 - 2] for row in rows]
-    bound = q1.degree * q2.degree + 1
-    return _matrix_det_poly(sub, bound)

@@ -577,8 +577,11 @@ def line_crossing_stats(ln, part: PartitionPolynomial) -> CrossingStats:
     """Distinct open cells a line enters and its zero-set hits, exactly.
 
     The cell count obeys distinct_cells <= degree + 1 (one crossing per
-    parameter root, at most degree of those) and is certified by Sturm
-    isolation, not sampling.
+    parameter root, at most degree of those) and is certified by exact
+    root isolation, not sampling: each restricted factor's roots are
+    isolated by Descartes bisection on its integer coefficients, and the
+    factors' roots are merged exactly (a mod-p certificate or an integer
+    gcd decides whether two factors share a root).
     """
     roots, _, vectors = line_cell_profile(ln, part)
     stats = CrossingStats(len(set(vectors)), len(roots))

@@ -14,7 +14,7 @@ from incidence4.cli import (
     main,
     run_experiment,
 )
-from incidence4.configs import GeneratorKind, GeneratorSpec
+from incidence4.configs import GeneratorKind, GeneratorSpec, load_config
 from incidence4.partition import PartitionParams
 
 FIXTURE = str(Path(__file__).resolve().parent.parent / "fixtures" / "sample_config.json")
@@ -150,6 +150,14 @@ def test_run_experiment_star_report():
     assert report.exit_code == EXIT_OK
     assert "point_incidences: 6" in report.text
     assert "## verdicts" in report.text
+
+
+def test_run_experiment_preloaded_needs_no_generator():
+    cfg = load_config(FIXTURE)
+    report = run_experiment(ExperimentSpec(None, seed=cfg.seed), preloaded=cfg)
+    assert "generator: loaded" in report.text
+    with pytest.raises(ValueError):
+        run_experiment(ExperimentSpec(None))
 
 
 def test_run_experiment_planted_lists_flat():
