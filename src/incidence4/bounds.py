@@ -203,13 +203,12 @@ def compare_power_products(left, right) -> int:
 
 @dataclass(frozen=True)
 class BoundParams:
-    """(L, S, D, epsilon) of one bound evaluation; J is informational."""
+    """(L, S, D, epsilon) of one bound evaluation."""
 
     num_lines: int
     num_planes: int
     degree: int
     epsilon: Fraction
-    rounds: int | None = None
 
     def __post_init__(self):
         if self.num_lines < 1 or self.num_planes < 1:
@@ -376,11 +375,7 @@ class TwoSurfaceCases:
     contained_case: BoundResult
 
 
-def eval_two_surface_cases(
-    p: BoundParams,
-    c: ConstantsProfile,
-    much_greater: int = MUCH_GREATER_FACTOR,
-) -> TwoSurfaceCases:
+def eval_two_surface_cases(p: BoundParams, c: ConstantsProfile) -> TwoSurfaceCases:
     """The three ways a 2-plane can meet a rich 2-surface.
 
     point_case:     2 D^(5/2+3eps) L^(1/2-eps) S   (finite intersections)
@@ -388,7 +383,7 @@ def eval_two_surface_cases(
     contained_case: 2 D^(5/2+3eps) L               (plane inside surface)
 
     The curve case carries the side conditions S >> G_2 (operationalized
-    with the configured factor) and S^(2eps) < C1^2.
+    with MUCH_GREATER_FACTOR) and S^(2eps) < C1^2.
     """
     L, S, D, eps = p.num_lines, p.num_planes, p.degree, p.epsilon
     point_case = (
@@ -406,7 +401,7 @@ def eval_two_surface_cases(
         compare_power_products(
             [(S, 1)],
             [
-                (2 * much_greater, 1),
+                (2 * MUCH_GREATER_FACTOR, 1),
                 (D, Fraction(3, 2) + 3 * eps),
                 (L, Fraction(1, 2) - eps),
             ],
@@ -415,7 +410,7 @@ def eval_two_surface_cases(
     )
     c1_gate = compare_power_products([(S, 2 * eps)], [(c.c1, 2)]) < 0
     detail = (
-        f"S >= {much_greater}*G2 ceiling: {'ok' if s_dominates else 'VIOLATED'}; "
+        f"S >= {MUCH_GREATER_FACTOR}*G2 ceiling: {'ok' if s_dominates else 'VIOLATED'}; "
         f"S^(2eps) < C1^2: {'ok' if c1_gate else 'VIOLATED'}"
     )
     return TwoSurfaceCases(
@@ -455,7 +450,7 @@ class ThreeSurfaceCases:
     kst_link: BoundResult
 
 
-def eval_three_surface_cases(p: BoundParams, c: ConstantsProfile) -> ThreeSurfaceCases:
+def eval_three_surface_cases(p: BoundParams) -> ThreeSurfaceCases:
     """The two ways lines interact with rich 3-surfaces.
 
     crossing_case:  2 D^(2+2eps) L S^(1/2-eps)   (lines crossing surfaces)
@@ -564,7 +559,7 @@ def eval_total_and_dominance(p: BoundParams, c: ConstantsProfile) -> TotalAndDom
     DOMINANCE_CONSTANT times the main bound."""
     cells = eval_cell_decomposition(p)
     two = eval_two_surface_cases(p, c)
-    three = eval_three_surface_cases(p, c)
+    three = eval_three_surface_cases(p)
     zero = eval_zero_set_cases(p, c)
     main = eval_main_bound(p)
     parts = {

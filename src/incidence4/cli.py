@@ -77,7 +77,7 @@ def _make_configuration(g: GeneratorSpec, seed: int | None):
     if g.kind is GeneratorKind.GENERIC:
         return gen_generic(g.num_lines, g.num_planes, seed, g.coordinate_range), None
     if g.kind is GeneratorKind.STAR:
-        return gen_star(g.num_lines, g.num_planes, g.center, seed), None
+        return gen_star(g.num_lines, g.num_planes, seed=seed), None
     return gen_planted(g, seed)
 
 
@@ -372,7 +372,8 @@ _FLAGS = {
     "--strict": dict(action="store_true", help="out-of-regime hypotheses become exit code 3"),
     "--config": dict(required=True),
     "--kind": dict(default="generic", choices=[k.value for k in GeneratorKind]),
-    "--range": dict(type=int, default=10**6),
+    "--range": dict(type=int, default=None,
+                    help="coordinate range of generic and planted draws (default 10^6)"),
     "--planted-lines": dict(type=int, default=0),
     "--planted-planes": dict(type=int, default=0),
 }
@@ -392,11 +393,13 @@ def _subcommand(sub, name: str, summary: str, *flags: str) -> argparse.ArgumentP
 
 def _generator_from_args(args) -> GeneratorSpec:
     kind = GeneratorKind(args.kind)
+    if kind is GeneratorKind.STAR and args.range is not None:
+        raise ValueError("--range does not apply to --kind star")
     return GeneratorSpec(
         kind,
         num_lines=args.L,
         num_planes=args.S,
-        coordinate_range=args.range,
+        coordinate_range=10**6 if args.range is None else args.range,
         planted_line_count=args.planted_lines,
         planted_plane_count=args.planted_planes,
     )

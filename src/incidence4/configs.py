@@ -97,7 +97,6 @@ class GeneratorSpec:
     coordinate_range: int = 10**6
     planted_line_count: int = 0
     planted_plane_count: int = 0
-    center: tuple = (0, 0, 0, 0)
 
     def __post_init__(self):
         if self.num_lines < 0 or self.num_planes < 0:

@@ -18,12 +18,17 @@ and each is exact because it only multiplies by positive constants:
                   degree D is evaluated homogenised, as the sum of
                   c_e * m^(D-|e|) * prod P_i^e_i: that integer is f(P/m)
                   times the positive m^D times the scale.
-  restriction     `restrict_to_line` / `restrict_to_flat2`.  Base and
-                  directions are cleared to one denominator M, giving the
-                  integer linear forms B_i + a*U_i (+ b*V_i); the sum of
-                  c_e * M^(D-|e|) * prod form_i^e_i is the restriction
-                  times M^D times the scale, and one division per
-                  coefficient returns the exact Fraction restriction.
+  substitution    p(base + sum_k t_k*dir_k) for p in at most 4
+                  variables (`_substitution`).  Base and directions are
+                  cleared to one denominator M, giving the integer linear
+                  forms B_i + sum_k t_k*U_ki; the sum of
+                  c_e * M^(D-|e|) * prod form_i^e_i is the result times
+                  M^D times the scale, and one division per coefficient
+                  returns the exact Fraction polynomial.  It has four
+                  callers: `restrict_to_line` and `restrict_to_flat2`
+                  (through `compose_affine`), the shift back p(x - shift)
+                  of each bisection factor in `partition`, and the shear
+                  q(x + lam*y, y) of `bezout_point_check`.
   `_sign_at`      the sign of an integer univariate polynomial at
                   x = p/q (q > 0): the sum of c_i p^i q^(n-i), by
                   homogeneous Horner, is g(x) times q^n.  Root isolation,
@@ -121,7 +126,7 @@ class SparsePoly:
 
     Immutable by convention: no method mutates `terms` after construction.
     Total degree is cached; the zero polynomial reports degree -1.  The
-    primitive integer form used by `sign_vector` and the restrictions is
+    primitive integer form used by `sign_vector` and `_substitution` is
     cached on first use.
     """
 
@@ -276,7 +281,10 @@ class SparsePoly:
         return total
 
     def substitute(self, replacements: Sequence["SparsePoly"]) -> "SparsePoly":
-        """Plug a polynomial in for each variable (all over the same ring)."""
+        """Plug a polynomial in for each variable (all over the same ring).
+
+        Fraction polynomial products: the reference that the tests hold
+        the integer kernel `compose_affine` to."""
         if len(replacements) != self.nvars:
             raise ValueError("need one replacement per variable")
         nv = replacements[0].nvars
@@ -474,7 +482,7 @@ def square_free_part(f: UniPoly) -> UniPoly:
 
 
 # ---------------------------------------------------------------------------
-# Restriction of 4-variable polynomials to affine flats
+# Affine substitution: restrictions, shifts and shears
 # ---------------------------------------------------------------------------
 
 def restrict_to_line(p: SparsePoly, ln) -> UniPoly:
@@ -486,43 +494,59 @@ def restrict_to_line(p: SparsePoly, ln) -> UniPoly:
     """
     if all(d == 0 for d in ln.direction):
         raise ValueError("line direction must be nonzero")
-    coeffs = _restriction(p, ln.base, (ln.direction,), 0)
+    if p.nvars != 4:
+        raise ValueError("restriction expects a 4-variable polynomial")
+    coeffs = _substitution(p, ln.base, (ln.direction,))
     return UniPoly([coeffs.get(k, ZERO) for k in range(max(coeffs, default=-1) + 1)])
 
 
 def restrict_to_flat2(p: SparsePoly, fl) -> SparsePoly:
     """Restriction g(a, b) = p(base + a*u + b*v) to a 2-flat in R^4."""
-    stride = p.degree + 1
-    coeffs = _restriction(p, fl.base, (fl.u, fl.v), stride)
-    return SparsePoly(2, {(k % stride, k // stride): c for k, c in coeffs.items()})
-
-
-def _restriction(p: SparsePoly, base, directions, stride: int) -> dict[int, Fraction]:
-    """Nonzero coefficients of p(base + a*directions[0] (+ b*directions[1])),
-    keyed by the packed exponent i + stride*j of a^i b^j (stride > deg p;
-    unused for a line).
-
-    Integer arithmetic throughout (see the module docstring): the point
-    is cleared to (B + a*U + b*V) / M, and the sum over the integer form
-    of c_e * M^(D-|e|) * prod (B_i + a*U_i + b*V_i)^e_i is the restriction
-    times the positive constant M^D * scale, divided out once at the end.
-    """
     if p.nvars != 4:
         raise ValueError("restriction expects a 4-variable polynomial")
+    return compose_affine(p, fl.base, (fl.u, fl.v))
+
+
+def compose_affine(p: SparsePoly, base, directions) -> SparsePoly:
+    """p(base + t_0*directions[0] + t_1*directions[1] + ...) as an exact
+    polynomial in the parameters t_k (`_substitution` in ints)."""
+    stride = p.degree + 1
+    k = len(directions)
+    return SparsePoly(k, {
+        tuple(key // stride**j % stride for j in range(k)): c
+        for key, c in _substitution(p, base, directions).items()
+    })
+
+
+def _substitution(p: SparsePoly, base, directions) -> dict[int, Fraction]:
+    """Nonzero coefficients of p(base + sum_k t_k*directions[k]) for p in
+    at most 4 variables, keyed by the packed exponent sum_k i_k*stride^k
+    of prod t_k^i_k, with stride = deg p + 1.
+
+    Integer arithmetic throughout (see the module docstring): the point
+    is cleared to (B + sum_k t_k*U_k) / M, and the sum over the integer
+    form of c_e * M^(D-|e|) * prod (B_i + sum_k t_k*U_ki)^e_i is the
+    result times the positive constant M^D * scale, divided out once at
+    the end.
+    """
+    n = p.nvars
+    if any(len(v) != n for v in (base, *directions)):
+        raise ValueError("base and directions need one coordinate per variable")
     if p.is_zero:
         return {}
     terms = p.integer_terms
     m, ints = common_denominator([rat(x) for x in (*base, *(x for d in directions for x in d))])
-    steps = (1, stride)[: len(directions)]
+    steps = [(p.degree + 1) ** k for k in range(len(directions))]
     tables = []
-    for i in range(4):
-        # B_i at key 0, then U_i (and V_i) at their parameters' keys
-        form = {key: v for key, v in zip((0, *steps), ints[i::4]) if v}
+    for i in range(n):
+        # B_i at key 0, then each direction's U_ki at its parameter's key
+        form = {key: v for key, v in zip((0, *steps), ints[i::n]) if v}
         powers = [{0: 1}]
         for _ in range(max(e[i] for _, e, _ in terms)):
             powers.append(_mul_packed(powers[-1], form))
         tables.append(powers)
-    t0, t1, t2, t3 = tables
+    # Padded variables only ever meet exponent 0.
+    t0, t1, t2, t3 = tables + [[{0: 1}]] * (4 - n)
     mpow = [m**k for k in range(p.degree + 1)]
 
     # Horner in two levels: group the terms by (e0, e1), sum each group's
@@ -542,8 +566,7 @@ def _restriction(p: SparsePoly, base, directions, stride: int) -> dict[int, Frac
         for key, v in _mul_packed(_mul_packed(t0[e0], t1[e1]), acc).items():
             total[key] = total.get(key, 0) + v
 
-    c, e, _ = terms[0]
-    den = m**p.degree * c / p.terms[e]  # M^D * scale, a positive Fraction
+    den = m**p.degree * _scale(p)  # M^D * scale, a positive Fraction
     return {key: v / den for key, v in total.items() if v}
 
 
@@ -1039,6 +1062,9 @@ def sample_points_between_roots(roots: Sequence[IsolatedRoot]) -> list[Fraction]
 
     For k sorted roots this returns k+1 values, each certified to lie
     strictly between its neighbouring roots (or beyond the extremes).
+    The roots are disjoint and sorted (`_separate`), so an interval
+    endpoint or the midpoint of a gap is off the root set; a unit step
+    is taken only outward from an exact extreme root.
     """
     if not roots:
         return [ZERO]
@@ -1049,19 +1075,7 @@ def sample_points_between_roots(roots: Sequence[IsolatedRoot]) -> list[Fraction]
         pts.append((lo + hi) / 2 if left.is_exact or right.is_exact else lo)
     last = roots[-1]
     pts.append(last.upper() + (1 if last.is_exact else 0))
-    # Exact-root bookkeeping: interval endpoints are already off the root
-    # set; for exact roots we stepped a full unit away, which may overshoot
-    # into a neighbour only if roots were closer than 1 apart -- guard.
-    out = []
-    for i, c in enumerate(pts):
-        lo_ok = i == 0 or roots[i - 1].compare_to(c) < 0
-        hi_ok = i == len(roots) or roots[i].compare_to(c) > 0
-        if not (lo_ok and hi_ok):
-            lo = roots[i - 1].upper()
-            hi = roots[i].lower()
-            c = (lo + hi) / 2
-        out.append(c)
-    return out
+    return pts
 
 
 # ---------------------------------------------------------------------------
@@ -1137,24 +1151,6 @@ def have_common_factor(q1: SparsePoly, q2: SparsePoly) -> bool:
     return any(not _resultant(_coeffs_in(q1, v), _coeffs_in(q2, v)) for v in (1, 0))
 
 
-def _shear(q: SparsePoly, lam: Fraction) -> SparsePoly:
-    """Coordinate change (x, y) -> (x + lam*y, y)."""
-    x = SparsePoly.variable(2, 0)
-    y = SparsePoly.variable(2, 1)
-    return q.substitute([x + y.scale(lam), y])
-
-
-def _degree_form_at(q: SparsePoly, lam: Fraction) -> Fraction:
-    """Top-degree form of q evaluated at (lam, 1): the leading
-    y-coefficient of the sheared polynomial."""
-    d = q.degree
-    total = ZERO
-    for e, c in q.terms.items():
-        if e[0] + e[1] == d:
-            total += c * lam ** e[0]
-    return total
-
-
 _SHEAR_LADDER = [Fraction(0)] + [
     Fraction(s * k) for k in range(1, 50) for s in (1, -1)
 ]
@@ -1185,9 +1181,13 @@ def bezout_point_check(q1: SparsePoly, q2: SparsePoly):
         return True, None
 
     for lam in _SHEAR_LADDER:
-        if _degree_form_at(q1, lam) == 0 or _degree_form_at(q2, lam) == 0:
+        # (x, y) -> (x + lam*y, y); the sheared y-degree falls below the
+        # total degree exactly when the top form vanishes at (lam, 1).
+        shear = ((1, 0), (lam, 1))
+        a = _coeffs_in(compose_affine(q1, (0, 0), shear), 1)
+        b = _coeffs_in(compose_affine(q2, (0, 0), shear), 1)
+        if len(a) <= d1 or len(b) <= d2:
             continue
-        a, b = _coeffs_in(_shear(q1, lam), 1), _coeffs_in(_shear(q2, lam), 1)
         if len(a) < len(b):
             a, b = b, a
         chain, _ = _prs(a, b)

@@ -8,7 +8,11 @@ candidate is only ever accepted after its bisection contract has been
 verified exactly, so the returned partition carries no numeric trust.
 Every cell decision -- the per-point certification of a candidate, cell
 assignment, and the sign vectors sampled on a 2-flat -- is one call of
-the integer sign kernel `exactpoly.sign_vector`.
+the integer sign kernel `exactpoly.sign_vector`.  Every template of the
+search, from a unit, random, Newton or anchored direction, goes through
+one threshold sweep, and a certified factor is moved back to the input
+coordinates by the integer substitution kernel
+(`exactpoly.compose_affine`); no Fraction polynomial product runs.
 
 Cells are sign vectors of the factors rather than true connected
 components; sign cells refine components, so per-cell point counts are
@@ -22,13 +26,15 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as iter_product
+from itertools import chain, product as iter_product
 
 import numpy as np
 
 from .exactpoly import (
     SparsePoly,
     ZERO,
+    common_denominator,
+    compose_affine,
     isolate_real_roots,
     merge_real_roots,
     rat,
@@ -239,6 +245,9 @@ def _try_sweep(columns_per_set, caps, exps, weights_template):
     return _poly_from_weights([-c] + list(weights_template), exps)
 
 
+_AXES = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+
 def ham_sandwich_bisect(
     sets,
     degree: int,
@@ -253,11 +262,15 @@ def ham_sandwich_bisect(
     cap = ceil(|X| (1+delta) / 2) unless explicit per-set `caps` tighten
     it.  Points exactly on Z(h) count toward neither side.
 
-    The search is numeric (threshold sweeps, then a damped Newton
-    iteration that anchors every set's feasible score band at a common
-    level), but every candidate is certified by exact rational
-    arithmetic before acceptance; raises SearchBudgetError when no
-    candidate certifies.
+    The search runs on points centred at an integer shift.  Each
+    template -- unit and small random directions first, then the
+    rationalised directions of a damped Newton iteration that anchors
+    every set's feasible score band at a common level, and the exact
+    anchor-interpolation directions -- goes through one `sweep_attempt`:
+    a template is swept once, its threshold is certified by exact
+    rational arithmetic on the score columns, and the certified factor is
+    shifted back exactly.  Raises SearchBudgetError when no candidate
+    certifies.
     """
     delta = rat(delta)
     exps = monomial_exponents(degree)
@@ -271,7 +284,7 @@ def ham_sandwich_bisect(
     rng = random.Random(seed)
 
     # Center the points at an integer shift: exactness is untouched
-    # (the factor is shifted back at the end) and the lifted monomials
+    # (each certified factor is shifted back) and the lifted monomials
     # stay much better conditioned for the numeric stages.
     allpts = [p for s in sets for p in s]
     if allpts:
@@ -288,38 +301,31 @@ def ham_sandwich_bisect(
 
     zsets = [[tuple(shifted(x, mu) for x, mu in zip(p, shift)) for p in s] for s in sets]
     lifted_sets = [[_lift_row(p, exps) for p in s] for s in zsets]
+    back = tuple(-mu for mu in shift)
+    tried: set[tuple] = set()
 
-    def finish(poly_z: SparsePoly) -> SparsePoly:
-        if all(mu == 0 for mu in shift):
-            return poly_z
-        axes = [
-            SparsePoly(4, {(0, 0, 0, 0): -rat(mu), _unit(i): 1})
-            for i, mu in enumerate(shift)
-        ]
-        return poly_z.substitute(axes)
+    def sweep_attempt(template) -> SparsePoly | None:
+        """Threshold sweep along the lifted direction `template` (new and
+        nonzero templates only); a certified factor is shifted back to
+        the input coordinates, p(x - shift)."""
+        key = tuple(template)
+        if key in tried or not any(key):
+            return None
+        tried.add(key)
+        nonzero = [(j, t) for j, t in enumerate(key, start=1) if t]
+        cols = [[sum(t * row[j] for j, t in nonzero) for row in rows] for rows in lifted_sets]
+        found = _try_sweep(cols, caps, exps, key)
+        return None if found is None else compose_affine(found, back, _AXES)
 
-    # Exact single-direction threshold sweeps: enough for small rounds,
-    # pointless for many simultaneous sets.
+    # Exact threshold sweeps along unit, then small random directions:
+    # enough for small rounds, pointless for many simultaneous sets.
     few_sets = len(sets) <= 6
-    unit_dirs = range(m) if few_sets else range(4)
-    for j in unit_dirs:
-        template = [0] * m
-        template[j] = 1
-        cols = [[row[j + 1] for row in rows] for rows in lifted_sets]
-        found = _try_sweep(cols, caps, exps, template)
+    units = ([int(k == j) for k in range(m)] for j in range(m if few_sets else 4))
+    randoms = ([rng.randint(-3, 3) for _ in range(m)] for _ in range(12 if few_sets else 4))
+    for template in chain(units, randoms):
+        found = sweep_attempt(template)
         if found is not None:
-            return finish(found)
-    for _ in range(12 if few_sets else 4):
-        template = [rng.randint(-3, 3) for _ in range(m)]
-        if all(t == 0 for t in template):
-            continue
-        cols = [
-            [sum(t * c for t, c in zip(template, row[1:])) for row in rows]
-            for rows in lifted_sets
-        ]
-        found = _try_sweep(cols, caps, exps, template)
-        if found is not None:
-            return finish(found)
+            return found
 
     # Sets small enough to sit entirely on one side impose no constraint.
     active = [i for i, s in enumerate(sets) if len(s) > caps[i]]
@@ -337,27 +343,13 @@ def ham_sandwich_bisect(
     caps_active = [caps[i] for i in active]
     nprng = np.random.default_rng(rng.randrange(2**32))
 
-    def exact_direction(w) -> list | None:
-        scaled = [
-            Fraction(round(x * 2**24)) / (2**24 * Fraction(s))
-            for x, s in zip(w, [1.0] + mono_scale[1:])
-        ]
-        if all(v == 0 for v in scaled[1:]):
-            return None
-        return _clear_denominators(scaled)[1:]
+    def rationalise(w, c: int) -> Fraction:
+        """Lifted coordinate c of the numeric direction w, rounded to 24
+        bits and unscaled, as an exact rational."""
+        return Fraction(round(w[c] * 2**24)) / (2**24 * Fraction(mono_scale[c]))
 
-    tried: set[tuple] = set()
-
-    def sweep_attempt(template) -> SparsePoly | None:
-        key = tuple(template)
-        if key in tried:
-            return None
-        tried.add(key)
-        cols = [
-            [sum(t * c for t, c in zip(template, row[1:])) for row in rows]
-            for rows in lifted_sets
-        ]
-        return _try_sweep(cols, caps, exps, template)
+    def exact_direction(w) -> list:
+        return _clear_denominators([rationalise(w, c) for c in range(m + 1)])[1:]
 
     def anchored_attempt(w, anchor_sets) -> SparsePoly | None:
         """Solve the hyperplane-through-anchors system exactly, keeping
@@ -374,14 +366,10 @@ def ham_sandwich_bisect(
         free = [c for c in range(ncols) if c not in pivots]
         x = [ZERO] * ncols
         for c in free:
-            s = 1.0 if c == 0 else mono_scale[c]
-            x[c] = Fraction(round(w[c] * 2**24)) / (2**24 * Fraction(s))
+            x[c] = rationalise(w, c)
         for i, pcol in enumerate(pivots):
             x[pcol] = -sum(mat[i][c] * x[c] for c in free if x[c])
-        if all(v == 0 for v in x[1:]):
-            return None
-        weights = _clear_denominators(x)
-        return sweep_attempt(weights[1:])
+        return sweep_attempt(_clear_denominators(x)[1:])
 
     band_mid = [
         (max(0, p.shape[0] - 1 - cap) + min(cap, p.shape[0] - 1)) // 2
@@ -417,11 +405,9 @@ def ham_sandwich_bisect(
             else:
                 since_best += 1
             if worst > 1e-4:
-                template = exact_direction(w)
-                if template is not None:
-                    found = sweep_attempt(template)
-                    if found is not None:
-                        return finish(found)
+                found = sweep_attempt(exact_direction(w))
+                if found is not None:
+                    return found
             elif worst > -1e-5 or (since_best and since_best % 30 == 0 and worst > -2e-3):
                 if anchored_tries < 5:
                     anchored_tries += 1
@@ -429,7 +415,7 @@ def ham_sandwich_bisect(
                     if pinched:
                         found = anchored_attempt(w, pinched)
                         if found is not None:
-                            return finish(found)
+                            return found
                     w = w + 1e-4 * nprng.standard_normal(m + 1)
             if since_best > 80:
                 break  # stalled; try a fresh start
@@ -448,23 +434,12 @@ def ham_sandwich_bisect(
     )
 
 
-def _unit(i: int) -> tuple[int, int, int, int]:
-    e = [0, 0, 0, 0]
-    e[i] = 1
-    return tuple(e)
-
-
-def _clear_denominators(values):
-    den = 1
-    for v in values:
-        den = den * v.denominator // math.gcd(den, v.denominator)
-    ints = [int(v * den) for v in values]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
+def _clear_denominators(values) -> list[int]:
+    """The rationals `values` times one positive constant: coprime ints
+    with the same signs (all zeros stay zeros)."""
+    _, nums = common_denominator(values)
+    g = math.gcd(*nums) or 1
+    return [v // g for v in nums]
 
 
 # ---------------------------------------------------------------------------

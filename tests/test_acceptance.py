@@ -253,7 +253,7 @@ def test_criterion_9_formula_fixtures():
     pin(two.point_case, expected_exact=32_000)
     pin(two.curve_case, within=1.0, reference=3_794_733.19)
     pin(two.contained_case, expected_exact=320_000)
-    three = eval_three_surface_cases(BoundParams(10**4, 10**3, 2, half), unit)
+    three = eval_three_surface_cases(BoundParams(10**4, 10**3, 2, half))
     pin(three.crossing_case, expected_exact=160_000)
     pin(three.contained_case, expected_exact=9 * 10**7)
     pin(eval_kst(4, 4, 2, 2), expected_exact=10)

@@ -176,17 +176,17 @@ class TestTwoSurfaceCases:
 
 class TestThreeSurfaceCases:
     def test_pinned_values(self):
-        cases = eval_three_surface_cases(BoundParams(10**4, 10**3, 2, HALF), C_UNIT)
+        cases = eval_three_surface_cases(BoundParams(10**4, 10**3, 2, HALF))
         assert cases.crossing_case.value.lo == 160_000
         assert cases.contained_case.value.lo == cases.contained_case.value.hi == 9 * 10**7
 
     def test_kst_link_exposed(self):
-        cases = eval_three_surface_cases(BoundParams(10**4, 10**3, 2, HALF), C_UNIT)
+        cases = eval_three_surface_cases(BoundParams(10**4, 10**3, 2, HALF))
         # z(L, G3; L+1, 2) with G3 = 8: sqrt(L)*(8-1)*sqrt(L) + L = 8L
         assert cases.kst_link.value.lo == cases.kst_link.value.hi == 8 * 10**4
 
     def test_l_equal_one(self):
-        cases = eval_three_surface_cases(BoundParams(1, 10**4, 2, HALF), C_UNIT)
+        cases = eval_three_surface_cases(BoundParams(1, 10**4, 2, HALF))
         assert cases.contained_case.value.hi - 2 * 4 * 10**4 == 10**4
 
 

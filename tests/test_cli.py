@@ -81,6 +81,17 @@ def test_unread_flags_rejected(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["gen", "verify"])
+def test_star_rejects_range(command, capsys):
+    # gen_star draws from its own range; an explicit --range would be ignored.
+    star = [command, "--kind", "star", "--L", "3", "--S", "2", "--out", "-"]
+    assert main([*star, "--range", "5"]) == EXIT_INVARIANT
+    captured = capsys.readouterr()
+    assert "--range does not apply to --kind star" in captured.err
+    assert captured.out == ""
+    assert main(star) == EXIT_OK
+
+
 def test_bounds_subcommand(capsys):
     assert main(["bounds", "--L", "10000", "--S", "1000", "--D", "2",
                  "--epsilon", "1/2", "--out", "-"]) == EXIT_OK

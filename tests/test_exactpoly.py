@@ -171,6 +171,19 @@ class TestIsolation:
             if i < len(values):
                 assert c < values[i]
             assert f.eval(c) != 0
+        # Exact roots less than 1 apart, merged with the irrational +-1/sqrt(5).
+        exact = UniPoly.from_roots([0, F(1, 3), F(1, 2)])
+        irrational = UniPoly((F(-1, 5), 0, 1))
+        roots = merge_real_roots([isolate_real_roots(exact), isolate_real_roots(irrational)])
+        assert len(roots) == 5
+        pts = sample_points_between_roots(roots)
+        assert len(pts) == 6
+        for i, c in enumerate(pts):
+            if i > 0:
+                assert roots[i - 1].compare_to(c) < 0
+            if i < len(roots):
+                assert roots[i].compare_to(c) > 0
+            assert exact.eval(c) != 0 and irrational.eval(c) != 0
 
     def test_merge_shared_roots(self):
         f = UniPoly.from_roots([1, 5])

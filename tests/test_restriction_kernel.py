@@ -1,13 +1,17 @@
-"""Integer restriction and the univariate sign kernel against Fraction paths.
+"""Integer substitution and the univariate sign kernel against Fraction paths.
 
-`restrict_to_line` / `restrict_to_flat2` run in Python ints on the cached
-integer form of the polynomial and return exact Fraction coefficients.
-The reference is `SparsePoly.substitute` with 1- and 2-variable linear
-axes, which multiplies Fraction polynomials.  `UniPoly.sign_at` decides
-signs by homogeneous Horner on the integer coefficients; the reference is
-the sign of `UniPoly.eval` on Fractions.
+One integer kernel computes every affine substitution p(base + sum t_k
+dir_k): `restrict_to_line` / `restrict_to_flat2`, the shift back
+p(x - shift) of a bisection factor and the shear q(x + lam*y, y) of the
+Bezout check.  It runs in Python ints on the cached integer form of the
+polynomial and returns exact Fraction coefficients.  The reference is
+`SparsePoly.substitute` with linear axes, which multiplies Fraction
+polynomials.  `UniPoly.sign_at` decides signs by homogeneous Horner on
+the integer coefficients; the reference is the sign of `UniPoly.eval` on
+Fractions.
 """
 
+import random
 from fractions import Fraction as F
 from types import SimpleNamespace
 
@@ -17,6 +21,9 @@ from hypothesis import assume, given, settings, strategies as st
 from incidence4.exactpoly import (
     SparsePoly,
     UniPoly,
+    bezout_point_check,
+    compose_affine,
+    poly2,
     restrict_to_flat2,
     restrict_to_line,
     sign,
@@ -25,7 +32,10 @@ from incidence4.partition import (
     FlatInZeroSetError,
     LineInZeroSetError,
     PartitionPolynomial,
+    cell_id,
+    default_cap,
     flat2_crossing_stats,
+    ham_sandwich_bisect,
     line_crossing_stats,
 )
 
@@ -47,12 +57,12 @@ def _cap_degree(e, max_degree):
     return tuple(out)
 
 
-def polys4(max_degree: int = 4, min_size: int = 0):
-    exponent = st.lists(st.integers(0, max_degree), min_size=4, max_size=4).map(
+def polys(nvars: int, max_degree: int = 4, min_size: int = 0):
+    exponent = st.lists(st.integers(0, max_degree), min_size=nvars, max_size=nvars).map(
         lambda e: _cap_degree(e, max_degree)
     )
     return st.dictionaries(exponent, coefficients, min_size=min_size, max_size=14).map(
-        lambda terms: SparsePoly(4, terms)
+        lambda terms: SparsePoly(nvars, terms)
     )
 
 
@@ -91,14 +101,14 @@ def vanishing_form(base, directions, extra):
 
 
 @ORACLE
-@given(p=polys4(), base=vectors, direction=nonzero_vectors)
+@given(p=polys(4), base=vectors, direction=nonzero_vectors)
 def test_line_matches_substitute(p, base, direction):
     ln = SimpleNamespace(base=base, direction=direction)
     assert restrict_to_line(p, ln) == substitute_line(p, base, direction)
 
 
 @ORACLE
-@given(p=polys4(), base=vectors, u=vectors, v=vectors)
+@given(p=polys(4), base=vectors, u=vectors, v=vectors)
 def test_flat_matches_substitute(p, base, u, v):
     fl = SimpleNamespace(base=base, u=u, v=v)
     assert restrict_to_flat2(p, fl) == substitute_flat(p, base, u, v)
@@ -113,7 +123,7 @@ def test_zero_poly_restricts_to_zero(base, direction, u, v):
 
 @ORACLE
 @given(
-    q=polys4(max_degree=3, min_size=1), base=vectors, direction=nonzero_vectors, extra=vectors
+    q=polys(4, max_degree=3, min_size=1), base=vectors, direction=nonzero_vectors, extra=vectors
 )
 def test_factor_vanishing_on_line(q, base, direction, extra):
     form = vanishing_form(base, [direction], extra)
@@ -126,7 +136,7 @@ def test_factor_vanishing_on_line(q, base, direction, extra):
 
 @ORACLE
 @given(
-    q=polys4(max_degree=3, min_size=1), base=vectors, u=vectors, v=vectors, extra=vectors
+    q=polys(4, max_degree=3, min_size=1), base=vectors, u=vectors, v=vectors, extra=vectors
 )
 def test_factor_vanishing_on_flat(q, base, u, v, extra):
     form = vanishing_form(base, [u, v], extra)
@@ -135,6 +145,61 @@ def test_factor_vanishing_on_flat(q, base, u, v, extra):
     assert restrict_to_flat2(q * form, fl).is_zero
     with pytest.raises(FlatInZeroSetError):
         flat2_crossing_stats(fl, PartitionPolynomial((q, q * form)))
+
+
+def unit_axes(n):
+    return [tuple(int(k == i) for k in range(n)) for i in range(n)]
+
+
+@ORACLE
+@given(
+    data=st.data(),
+    nvars=st.sampled_from([2, 4]),
+    fractional=st.booleans(),
+)
+def test_shift_matches_substitute(data, nvars, fractional):
+    """The bisection's shift back p(x - shift), on int and on
+    mixed-denominator Fraction shifts."""
+    p = data.draw(polys(nvars))
+    entries = scalars if fractional else st.integers(-60, 60)
+    shift = data.draw(st.lists(entries, min_size=nvars, max_size=nvars))
+    axes = [
+        SparsePoly(nvars, {(0,) * nvars: -F(mu), e: 1}) for mu, e in zip(shift, unit_axes(nvars))
+    ]
+    assert compose_affine(p, [-F(mu) for mu in shift], unit_axes(nvars)) == p.substitute(axes)
+
+
+@ORACLE
+@given(q=polys(2, max_degree=5), lam=scalars)
+def test_shear_matches_substitute(q, lam):
+    """The Bezout shear q(x + lam*y, y)."""
+    x, y = SparsePoly.variable(2, 0), SparsePoly.variable(2, 1)
+    reference = q.substitute([x + y.scale(lam), y])
+    assert compose_affine(q, (0, 0), ((1, 0), (lam, 1))) == reference
+
+
+def test_no_fraction_substitution_on_production_paths(monkeypatch):
+    """The shift back and the shear run on the integer kernel alone."""
+
+    def fail(*_):
+        raise AssertionError("SparsePoly.substitute called")
+
+    monkeypatch.setattr(SparsePoly, "substitute", fail)
+    rng = random.Random(3)
+    # Centroid near (100, -50, 30, 7): the factor is shifted back by it.
+    pts = [
+        tuple(c + rng.randint(-9, 9) for c in (100, -50, 30, 7)) for _ in range(40)
+    ]
+    sets = [pts[:20], pts[20:]]
+    h = ham_sandwich_bisect(sets, 2, F(1, 10))
+    for s in sets:
+        signs = [cell_id(p, PartitionPolynomial((h,)))[0] for p in s]
+        cap = default_cap(len(s), F(1, 10))
+        assert signs.count(1) <= cap and signs.count(-1) <= cap
+    # At lam = 0 the top form x*y vanishes at (0, 1), so a nonzero shear runs.
+    xy1 = poly2({(1, 1): 1, (0, 0): -1})
+    diagonal = poly2({(1, 0): 1, (0, 1): -1})
+    assert bezout_point_check(xy1, diagonal) == (False, 2)
 
 
 def test_mixed_denominators_by_hand():
