@@ -362,8 +362,8 @@ def _emit(text: str, path: Path | None) -> None:
 # and takes no abbreviations, so `grid --L` is an error, not `--L-list`.
 _FLAGS = {
     "--seed": dict(type=int, default=0),
-    "--L": dict(type=int, default=10),
-    "--S": dict(type=int, default=5),
+    "--L": dict(type=int, default=None, help="number of lines (default 10)"),
+    "--S": dict(type=int, default=None, help="number of planes (default 5)"),
     "--D": dict(type=int, default=2),
     "--epsilon": dict(type=Fraction, default=Fraction(1, 10), help="exact rational, e.g. 1/10"),
     "--J": dict(type=int, default=None, help="partition rounds"),
@@ -371,16 +371,19 @@ _FLAGS = {
     "--format": dict(choices=("text", "csv"), default="text"),
     "--strict": dict(action="store_true", help="out-of-regime hypotheses become exit code 3"),
     "--config": dict(required=True),
-    "--kind": dict(default="generic", choices=[k.value for k in GeneratorKind]),
+    "--kind": dict(default=None, choices=[k.value for k in GeneratorKind],
+                   help="generator (default generic)"),
     "--range": dict(type=int, default=None,
                     help="coordinate range of generic and planted draws (default 10^6)"),
-    "--planted-lines": dict(type=int, default=0),
-    "--planted-planes": dict(type=int, default=0),
+    "--planted-lines": dict(type=int, default=None, help="(default 0)"),
+    "--planted-planes": dict(type=int, default=None, help="(default 0)"),
 }
 
-_GENERATOR_FLAGS = (
-    "--kind", "--L", "--S", "--seed", "--range", "--planted-lines", "--planted-planes"
-)
+# The generator flags default to None, so that `verify --config` can tell
+# a flag that was given from one that was not; `_generator_from_args`
+# maps None to the default.
+_DRAW_FLAGS = ("--kind", "--L", "--S", "--range", "--planted-lines", "--planted-planes")
+_GENERATOR_FLAGS = (*_DRAW_FLAGS, "--seed")
 
 
 def _subcommand(sub, name: str, summary: str, *flags: str) -> argparse.ArgumentParser:
@@ -391,17 +394,21 @@ def _subcommand(sub, name: str, summary: str, *flags: str) -> argparse.ArgumentP
     return sp
 
 
+def _or(value, default):
+    return default if value is None else value
+
+
 def _generator_from_args(args) -> GeneratorSpec:
-    kind = GeneratorKind(args.kind)
+    kind = GeneratorKind(_or(args.kind, "generic"))
     if kind is GeneratorKind.STAR and args.range is not None:
         raise ValueError("--range does not apply to --kind star")
     return GeneratorSpec(
         kind,
-        num_lines=args.L,
-        num_planes=args.S,
-        coordinate_range=10**6 if args.range is None else args.range,
-        planted_line_count=args.planted_lines,
-        planted_plane_count=args.planted_planes,
+        num_lines=_or(args.L, 10),
+        num_planes=_or(args.S, 5),
+        coordinate_range=_or(args.range, 10**6),
+        planted_line_count=_or(args.planted_lines, 0),
+        planted_plane_count=_or(args.planted_planes, 0),
     )
 
 
@@ -424,6 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bounds_p = _subcommand(sub, "bounds", "evaluate every closed-form bound",
                            "--L", "--S", "--D", "--epsilon", "--format", "--strict")
+    bounds_p.set_defaults(L=10, S=5)
     bounds_p.add_argument("--c1", type=Fraction, default=Fraction(1))
     bounds_p.add_argument("--c2", type=Fraction, default=Fraction(1))
     bounds_p.add_argument("--c4", type=Fraction, default=Fraction(1))
@@ -453,8 +461,9 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "gen":
-        cfg, _ = _make_configuration(_generator_from_args(args), args.seed)
-        _emit(dumps_config(cfg), _out_path(args, f"config_{args.kind}_{args.seed}.json"))
+        g = _generator_from_args(args)
+        cfg, _ = _make_configuration(g, args.seed)
+        _emit(dumps_config(cfg), _out_path(args, f"config_{g.kind.value}_{args.seed}.json"))
         return EXIT_OK
 
     if args.command == "count":
@@ -533,6 +542,9 @@ def _dispatch(args) -> int:
 
     if args.command == "verify":
         if args.config:
+            given = [f for f in _DRAW_FLAGS if getattr(args, f[2:].replace("-", "_")) is not None]
+            if given:
+                raise ValueError(f"{' '.join(given)}: generator flags do not apply to --config")
             cfg = load_config(args.config)
             generator, seed = None, cfg.seed
         else:

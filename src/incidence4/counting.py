@@ -6,9 +6,9 @@ attributed to partition cells or the zero set, and the degree-1
 degeneracy detectors enumerate every coplanar line pair and every
 cohyperplanar plane pair, so planted structures are recovered with
 neither false positives nor false negatives.  The pair predicates run on
-the cached primitive integer forms of `incidence4.flats`; pairs are
-bucketed by integer keys, and `Flat2` / `Hyperplane3` objects (with
-their `Fraction` fields) are built only for reported results.
+the primitive integer forms each `incidence4.flats` object carries from
+construction; pairs are bucketed by integer keys, and `Flat2` /
+`Hyperplane3` objects are built only for reported results.
 """
 
 from __future__ import annotations

@@ -5,12 +5,20 @@ structural equality coincides with geometric equality and the objects
 hash consistently for deduplication.
 
 The canonical fields are `fractions.Fraction`: they are the API and the
-file format.  The predicates (line/2-flat classification, coplanarity of
-two lines, cohyperplanarity of two 2-flats) run on primitive integer
-forms of each object, computed once and cached: a line as base P/m plus
-an integer direction, a 2-flat as two integer equations N.x = c.  Every
-decision is an exact Python-int determinant or dot product; `Fraction`
-appears again only in a reported incidence location.
+file format.  Every `Line4` and `Flat2` is built once, in integers: the
+inputs are cleared to a base P/m and integer direction vectors, and the
+canonical fields are written out with one `Fraction(num, den)` each.  A
+line's direction is made primitive and divided by its first nonzero
+entry.  A 2-flat's reduced row echelon basis, reduced base and two
+equations all come from the six 2x2 minors of its spanning vectors, so
+no elimination runs.  The primitive integer forms are kept as
+attributes: a line as base P/m plus an integer direction
+(`integer_form`), a 2-flat as two integer equations N.x = c
+(`equations`).  Both are canonical, so they are the objects' hashes.
+The predicates (line/2-flat classification, coplanarity of two lines,
+cohyperplanarity of two 2-flats) are exact Python-int determinants or
+dot products on these forms; `Fraction` appears again only in a
+reported incidence location.
 """
 
 from __future__ import annotations
@@ -20,9 +28,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
-from .exactpoly import ONE, ZERO, common_denominator, rat
+from .exactpoly import common_denominator, rat
 
 Point4 = tuple[Fraction, Fraction, Fraction, Fraction]
 IntVec = tuple[int, ...]
@@ -64,32 +71,41 @@ def is_zero_vec(a) -> bool:
     return all(x == 0 for x in a)
 
 
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    m = [row[:] for row in rows]
+def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+
+    Fraction-free Gauss-Jordan elimination (Bareiss): each row is cleared
+    to integers, and each pivot p replaces every other row by
+    (p*row_i - f*row_r) // prev, where f is the row's entry in the pivot
+    column and prev the previous pivot; every division is exact.  Only
+    the pivot rows are divided by their pivot, once, at the end.
+    """
+    m = [list(common_denominator([rat(x) for x in row])[1]) for row in rows]
     pivots: list[int] = []
     r = 0
+    prev = 1
     ncols = len(m[0]) if m else 0
     for col in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        pivot = next((i for i in range(r, len(m)) if m[i][col]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = ONE / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        top = m[r]
+        p = top[col]
+        for i, row in enumerate(m):
+            if i != r:
+                f = row[col]
+                m[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+        prev = p
         pivots.append(col)
         r += 1
         if r == len(m):
             break
-    return m[:r], pivots
+    return [[Fraction(x, m[i][c]) for x in m[i]] for i, c in enumerate(pivots)], pivots
 
 
 def matrix_rank(rows) -> int:
-    return len(rref([list(map(rat, row)) for row in rows])[0])
+    return len(rref(rows)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -107,16 +123,39 @@ def _primitive(values: IntVec) -> IntVec | None:
     return tuple(x // g for x in values)
 
 
-def _primitive_ints(values) -> IntVec:
-    return _primitive(common_denominator(values)[1])
+def _cleared(values) -> tuple[int, IntVec]:
+    """(m, m*values): four rationals (ints, Fractions or strings such as
+    '-7/2') over their least common denominator m > 0."""
+    values = tuple(x if isinstance(x, (int, Fraction)) else rat(x) for x in values)
+    if len(values) != 4:
+        raise InvariantViolationError(f"expected 4 coordinates, got {len(values)}")
+    return common_denominator(values)
+
+
+def _reduced(num: IntVec, den: int) -> tuple[IntVec, int]:
+    """num/den in lowest terms as (P, m) with m > 0."""
+    if den < 0:
+        num, den = tuple(-x for x in num), -den
+    g = math.gcd(den, *num)
+    return tuple(x // g for x in num), den // g
 
 
 _PAIRS4 = tuple(itertools.combinations(range(4), 2))
 
 
 def _minors2(a, b) -> IntVec:
-    """The six 2x2 minors a_i b_j - a_j b_i (i < j) of two 4-vectors."""
-    return tuple(a[i] * b[j] - a[j] * b[i] for i, j in _PAIRS4)
+    """The six 2x2 minors a_i b_j - a_j b_i (i < j) of two 4-vectors, in
+    the order of `_PAIRS4`."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (
+        a0 * b1 - a1 * b0,
+        a0 * b2 - a2 * b0,
+        a0 * b3 - a3 * b0,
+        a1 * b2 - a2 * b1,
+        a1 * b3 - a3 * b1,
+        a2 * b3 - a3 * b2,
+    )
 
 
 def independent(u, v) -> bool:
@@ -144,31 +183,35 @@ class Line4:
     """Affine line: base + t*direction.
 
     Canonical: direction scaled so its first nonzero coordinate is 1 and
-    the base's coordinate at that pivot is 0.
+    the base's coordinate at that pivot is 0.  With the inputs cleared to
+    P/m and a primitive integer direction d with pivot k, the base is
+    (d_k*P - P_k*d)/(m*d_k) and the direction d/d_k.
+
+    `integer_form` is (d, P, m): the primitive integer direction d, and
+    the canonical base as P/m in lowest terms (m > 0).  It is canonical,
+    so it is the hash.
     """
 
     base: Point4
     direction: Point4
 
     def __init__(self, base, direction):
-        b, d = vec(base), vec(direction)
-        if is_zero_vec(d):
+        m, p = _cleared(base)
+        d = _primitive(_cleared(direction)[1])
+        if d is None:
             raise InvariantViolationError("line direction must be nonzero")
-        pivot = next(i for i, x in enumerate(d) if x != 0)
-        d = vscale(d, ONE / d[pivot])
-        b = vsub(b, vscale(d, b[pivot]))
-        object.__setattr__(self, "base", b)
-        object.__setattr__(self, "direction", d)
+        k = next(i for i, x in enumerate(d) if x)
+        dk, pk = d[k], p[k]
+        p, m = _reduced(tuple(dk * x - pk * y for x, y in zip(p, d)), m * dk)
+        object.__setattr__(self, "base", tuple(Fraction(x, m) for x in p))
+        object.__setattr__(self, "direction", tuple(Fraction(x, dk) for x in d))
+        object.__setattr__(self, "integer_form", (d, p, m))
+
+    def __hash__(self) -> int:
+        return hash(self.integer_form)
 
     def point_at(self, t) -> Point4:
         return vadd(self.base, vscale(self.direction, t))
-
-    @cached_property
-    def integer_form(self) -> tuple[IntVec, IntVec, int]:
-        """(d, P, m): primitive integer direction d, and the base as P/m
-        with integer P and m > 0."""
-        m, p = common_denominator(self.base)
-        return _primitive_ints(self.direction), p, m
 
     def contains_point(self, p) -> bool:
         diff = vsub(vec(p), self.base)
@@ -183,6 +226,18 @@ class Flat2:
 
     Canonical: (u, v) replaced by the reduced row echelon basis of their
     span, base reduced to have zeros at both pivot coordinates.
+
+    With the inputs cleared to P/m and integer spanning vectors, write
+    M(i, j) for their 2x2 minors (M(j, i) = -M(i, j)).  The pivots are
+    the first pair p0 < p1 with D = M(p0, p1) != 0; the basis rows are
+    u_j = M(j, p1)/D and v_j = M(p0, j)/D, and the base is
+    P/m - u*P_p0/m - v*P_p1/m.  Each free column f gives the equation
+    normal D*e_f - M(f, p1)*e_p0 - M(p0, f)*e_p1.
+
+    `equations` holds the two equations (N, c), N.x = c, as primitive
+    integer rows with the first nonzero entry positive; they are
+    canonical, so they are the hash.  `integer_form` is (u, v, P, m):
+    the primitive integer basis rows and the base as P/m in lowest terms.
     """
 
     base: Point4
@@ -190,41 +245,47 @@ class Flat2:
     v: Point4
 
     def __init__(self, base, u, v):
-        b = vec(base)
-        rows, pivots = rref([list(vec(u)), list(vec(v))])
-        if len(rows) != 2:
+        m, p = _cleared(base)
+        q = _minors2(_cleared(u)[1], _cleared(v)[1])
+        k = next((k for k, x in enumerate(q) if x), None)
+        if k is None:
             raise InvariantViolationError("2-flat spanning vectors must be independent")
-        r1, r2 = (tuple(r) for r in rows)
-        b = vsub(b, vadd(vscale(r1, b[pivots[0]]), vscale(r2, b[pivots[1]])))
-        object.__setattr__(self, "base", b)
-        object.__setattr__(self, "u", r1)
-        object.__setattr__(self, "v", r2)
+        p0, p1 = _PAIRS4[k]
+        delta = q[k]
+        q01, q02, q03, q12, q13, q23 = q
+        minor = (
+            (0, q01, q02, q03),
+            (-q01, 0, q12, q13),
+            (-q02, -q12, 0, q23),
+            (-q03, -q13, -q23, 0),
+        )
+        r1 = tuple(row[p1] for row in minor)
+        r2 = minor[p0]
+        a, b = p[p0], p[p1]
+        base, m = _reduced(
+            tuple(delta * x - y * a - z * b for x, y, z in zip(p, r1, r2)), m * delta
+        )
+        equations = []
+        for f in range(4):
+            if f == p0 or f == p1:
+                continue
+            normal = [0, 0, 0, 0]
+            normal[f] = delta
+            normal[p0] = -r1[f]
+            normal[p1] = -r2[f]
+            row = _primitive((*(m * x for x in normal), vdot(normal, base)))
+            equations.append((row[:4], row[4]))
+        object.__setattr__(self, "base", tuple(Fraction(x, m) for x in base))
+        object.__setattr__(self, "u", tuple(Fraction(x, delta) for x in r1))
+        object.__setattr__(self, "v", tuple(Fraction(x, delta) for x in r2))
+        object.__setattr__(self, "equations", tuple(equations))
+        object.__setattr__(self, "integer_form", (_primitive(r1), _primitive(r2), base, m))
+
+    def __hash__(self) -> int:
+        return hash(self.equations)
 
     def point_at(self, a, b) -> Point4:
         return vadd(self.base, vadd(vscale(self.u, a), vscale(self.v, b)))
-
-    @cached_property
-    def equations(self) -> tuple[tuple[IntVec, int], tuple[IntVec, int]]:
-        """Two primitive integer equations (N, c), N.x = c, cutting out
-        the flat: one kernel vector of the span per free column of the
-        reduced basis (u, v), scaled to coprime integers."""
-        pivots = [next(i for i, x in enumerate(r) if x != 0) for r in (self.u, self.v)]
-        out = []
-        for free in (i for i in range(4) if i not in pivots):
-            normal = [ZERO] * 4
-            normal[free] = ONE
-            for r, p in zip((self.u, self.v), pivots):
-                normal[p] = -r[free]
-            row = _primitive_ints((*normal, vdot(normal, self.base)))
-            out.append((row[:4], row[4]))
-        return tuple(out)
-
-    @cached_property
-    def integer_form(self) -> tuple[IntVec, IntVec, IntVec, int]:
-        """(u, v, P, m): primitive integer spanning vectors, and the base
-        as P/m with integer P and m > 0."""
-        m, p = common_denominator(self.base)
-        return _primitive_ints(self.u), _primitive_ints(self.v), p, m
 
     def contains_point(self, p) -> bool:
         p = vec(p)
@@ -244,7 +305,7 @@ class Hyperplane3:
         if is_zero_vec(n):
             raise InvariantViolationError("hyperplane normal must be nonzero")
         pivot = next(i for i, x in enumerate(n) if x != 0)
-        scale = ONE / n[pivot]
+        scale = 1 / n[pivot]
         object.__setattr__(self, "normal", vscale(n, scale))
         object.__setattr__(self, "offset", rat(offset) * scale)
 
@@ -268,6 +329,11 @@ class IncidenceOutcome:
     location: Point4 | None = None
 
 
+# Shared outcomes without a location: a disjoint pair allocates nothing.
+DISJOINT = IncidenceOutcome(IncidenceKind.DISJOINT)
+CONTAINED = IncidenceOutcome(IncidenceKind.CONTAINED)
+
+
 def classify_line_flat2(ln: Line4, fl: Flat2) -> IncidenceOutcome:
     """Exact outcome of intersecting a line with a 2-flat in R^4.
 
@@ -278,19 +344,26 @@ def classify_line_flat2(ln: Line4, fl: Flat2) -> IncidenceOutcome:
     equations agree on one t exactly when a_0*b_1 - a_1*b_0 = 0 (POINT,
     located at that t); otherwise the line misses the flat (DISJOINT).
     """
-    d, p, m = ln.integer_form
-    (n0, c0), (n1, c1) = fl.equations
-    a0, a1 = vdot(n0, d), vdot(n1, d)
-    b0, b1 = m * c0 - vdot(n0, p), m * c1 - vdot(n1, p)
+    (d0, d1, d2, d3), p, m = ln.integer_form
+    p0, p1, p2, p3 = p
+    ((x0, x1, x2, x3), c0), ((y0, y1, y2, y3), c1) = fl.equations
+    a0 = x0 * d0 + x1 * d1 + x2 * d2 + x3 * d3
+    a1 = y0 * d0 + y1 * d1 + y2 * d2 + y3 * d3
+    b0 = m * c0 - x0 * p0 - x1 * p1 - x2 * p2 - x3 * p3
+    b1 = m * c1 - y0 * p0 - y1 * p1 - y2 * p2 - y3 * p3
     if a0 == 0 and a1 == 0:
-        if b0 == 0 and b1 == 0:
-            return IncidenceOutcome(IncidenceKind.CONTAINED)
-        return IncidenceOutcome(IncidenceKind.DISJOINT)
+        return CONTAINED if b0 == 0 and b1 == 0 else DISJOINT
     if a0 * b1 != a1 * b0:
-        return IncidenceOutcome(IncidenceKind.DISJOINT)
+        return DISJOINT
     a, b = (a0, b0) if a0 else (a1, b1)
     # P/m + (b/(m*a))*d, coordinate by coordinate.
-    location = tuple(Fraction(x * a + b * y, m * a) for x, y in zip(p, d))
+    ma = m * a
+    location = (
+        Fraction(p0 * a + b * d0, ma),
+        Fraction(p1 * a + b * d1, ma),
+        Fraction(p2 * a + b * d2, ma),
+        Fraction(p3 * a + b * d3, ma),
+    )
     return IncidenceOutcome(IncidenceKind.POINT, location)
 
 
@@ -308,9 +381,9 @@ def flat2_in_hyperplane(fl: Flat2, h: Hyperplane3) -> bool:
 
 def _offset(l1: Line4, l2: Line4) -> IntVec:
     """m1*m2 times base2 - base1, as the integer vector m1*P2 - m2*P1."""
-    _, p1, m1 = l1.integer_form
-    _, p2, m2 = l2.integer_form
-    return tuple(m1 * y - m2 * x for x, y in zip(p1, p2))
+    _, (x0, x1, x2, x3), m1 = l1.integer_form
+    _, (y0, y1, y2, y3), m2 = l2.integer_form
+    return (m1 * y0 - m2 * x0, m1 * y1 - m2 * x1, m1 * y2 - m2 * x2, m1 * y3 - m2 * x3)
 
 
 def coplanar_key(l1: Line4, l2: Line4) -> IntVec | None:
@@ -346,13 +419,13 @@ def span_flat2_of_lines(l1: Line4, l2: Line4) -> Flat2 | None:
     """
     if l1 == l2:
         raise IdenticalLinesError("identical lines span no unique 2-flat")
-    p = _minors2(l1.integer_form[0], l2.integer_form[0])
-    if any(_minors3(_offset(l1, l2), p)):
+    d1, d2 = l1.integer_form[0], l2.integer_form[0]
+    w = _offset(l1, l2)
+    p = _minors2(d1, d2)
+    if any(_minors3(w, p)):
         return None
-    if any(p):
-        return Flat2(l1.base, l1.direction, l2.direction)
-    # Parallel distinct lines: diff leaves the common direction.
-    return Flat2(l1.base, l1.direction, vsub(l2.base, l1.base))
+    # Parallel distinct lines: the offset w supplies the second direction.
+    return Flat2(l1.base, d1, d2 if any(p) else w)
 
 
 def cohyperplanar_key(f1: Flat2, f2: Flat2) -> IntVec | None:
@@ -367,20 +440,25 @@ def cohyperplanar_key(f1: Flat2, f2: Flat2) -> IntVec | None:
     s1*(N_0 | c_0) - s0*(N_1 | c_1) of f1's equations that vanishes on a
     nonzero column (s0, s1) of M.  Rank 0 means f2 = f1.
     """
-    u, v, p, m = f2.integer_form
-    (n0, c0), (n1, c1) = f1.equations
-    columns = [
-        (vdot(n0, u), vdot(n1, u)),
-        (vdot(n0, v), vdot(n1, v)),
-        (vdot(n0, p) - m * c0, vdot(n1, p) - m * c1),
-    ]
+    (u0, u1, u2, u3), (v0, v1, v2, v3), (q0, q1, q2, q3), m = f2.integer_form
+    ((x0, x1, x2, x3), c0), ((y0, y1, y2, y3), c1) = f1.equations
+    columns = (
+        (x0 * u0 + x1 * u1 + x2 * u2 + x3 * u3, y0 * u0 + y1 * u1 + y2 * u2 + y3 * u3),
+        (x0 * v0 + x1 * v1 + x2 * v2 + x3 * v3, y0 * v0 + y1 * v1 + y2 * v2 + y3 * v3),
+        (
+            x0 * q0 + x1 * q1 + x2 * q2 + x3 * q3 - m * c0,
+            y0 * q0 + y1 * q1 + y2 * q2 + y3 * q3 - m * c1,
+        ),
+    )
     nonzero = [col for col in columns if any(col)]
     if not nonzero:
         raise InvariantViolationError("identical 2-flats span no unique hyperplane")
     s0, s1 = nonzero[0]
     if any(s0 * t1 - s1 * t0 for t0, t1 in nonzero[1:]):
         return None
-    return _primitive(tuple(s1 * x - s0 * y for x, y in zip((*n0, c0), (*n1, c1))))
+    return _primitive(
+        (s1 * x0 - s0 * y0, s1 * x1 - s0 * y1, s1 * x2 - s0 * y2, s1 * x3 - s0 * y3, s1 * c0 - s0 * c1)
+    )
 
 
 def hyperplane_of_flat2_pair(f1: Flat2, f2: Flat2) -> Hyperplane3 | None:

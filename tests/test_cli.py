@@ -92,6 +92,37 @@ def test_star_rejects_range(command, capsys):
     assert main(star) == EXIT_OK
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--kind", "star"],
+        ["--L", "99"],
+        ["--S", "99"],
+        ["--range", "5"],
+        ["--planted-lines", "3"],
+        ["--planted-planes", "3"],
+        ["--kind", "star", "--L", "99", "--range", "5"],
+    ],
+)
+def test_verify_config_rejects_generator_flags(extra, capsys):
+    # A loaded configuration is not generated: a generator flag would be ignored.
+    assert main(["verify", "--config", FIXTURE, *extra, "--out", "-"]) == EXIT_INVARIANT
+    captured = capsys.readouterr()
+    assert "generator flags do not apply to --config" in captured.err
+    assert extra[0] in captured.err
+    assert captured.out == ""
+
+
+def test_verify_config_keeps_the_flags_it_reads(capsys):
+    argv = ["verify", "--config", FIXTURE, "--seed", "3", "--D", "3", "--epsilon", "1/4",
+            "--J", "1", "--delta", "1/5", "--strict", "--out", "-"]
+    assert main(argv) in (EXIT_OK, EXIT_STRICT_HYPOTHESIS)
+    out = capsys.readouterr().out
+    assert "generator: loaded" in out
+    assert "partition: rounds=1 delta=1/5" in out and "seed=3" in out
+    assert "epsilon: 1/4" in out and "surface_degree: 3" in out and "strict: True" in out
+
+
 def test_bounds_subcommand(capsys):
     assert main(["bounds", "--L", "10000", "--S", "1000", "--D", "2",
                  "--epsilon", "1/2", "--out", "-"]) == EXIT_OK

@@ -2,12 +2,16 @@
 
 Every predicate of `incidence4.flats` runs on cached primitive integer
 forms.  The reference below decides the same questions the direct way,
-by Gauss-Jordan elimination over `Fraction` (`flats.rref`), and ranks are
-cross-checked with sympy.  Hypothesis draws small-range integer objects
+by Gauss-Jordan elimination over `Fraction` (`ref_rref` below), and ranks
+are cross-checked with sympy.  Hypothesis draws small-range integer objects
 (bases over small denominators) and forces each degenerate configuration:
 lines inside, parallel to and through a point of a plane; parallel,
 intersecting, skew and identical line pairs; plane pairs that meet in a
 line, are parallel, share only a direction, span R^4, or coincide.
+
+The same reference checks the integer construction of `Line4` and
+`Flat2` (from a primitive direction and from 2x2 minors) field by field,
+and the fraction-free `flats.rref` row by row.
 """
 
 import itertools
@@ -17,6 +21,16 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from incidence4 import flats
+from incidence4.cli import ExperimentSpec, run_experiment
+from incidence4.configs import (
+    GeneratorKind,
+    GeneratorSpec,
+    config_from_dict,
+    config_to_dict,
+    gen_planted,
+)
+from incidence4.exactpoly import common_denominator
 from incidence4.flats import (
     Flat2,
     Hyperplane3,
@@ -30,7 +44,6 @@ from incidence4.flats import (
     hyperplane_of_flat2_pair,
     independent,
     matrix_rank,
-    rref,
     span_flat2_of_lines,
     vadd,
     vdot,
@@ -45,6 +58,73 @@ KERNEL = settings(max_examples=150, deadline=None)
 # ---------------------------------------------------------------------------
 
 
+def ref_rref(rows):
+    """Reduced row echelon form over Fraction: (nonzero rows, pivot columns)."""
+    m = [[F(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    ncols = len(m[0]) if m else 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][col]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
+
+
+def ref_rank(rows):
+    return len(ref_rref(rows)[0])
+
+
+def ref_primitive(values):
+    """Primitive integer multiple of a rational vector, first nonzero entry positive."""
+    ints = common_denominator([F(x) for x in values])[1]
+    g = math.gcd(*ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(x // g for x in ints)
+
+
+def ref_line(base, direction):
+    """(base, direction, integer_form) of a line, canonicalised in Fractions."""
+    b, d = tuple(map(F, base)), tuple(map(F, direction))
+    pivot = next(i for i, x in enumerate(d) if x)
+    d = vscale(d, 1 / d[pivot])
+    b = vsub(b, vscale(d, b[pivot]))
+    return b, d, (ref_primitive(d), *reversed(common_denominator(b)))
+
+
+def ref_flat(base, u, v):
+    """(base, u, v, equations, integer_form) of a 2-flat, canonicalised by
+    Fraction row reduction; None when u and v are dependent."""
+    rows, pivots = ref_rref([u, v])
+    if len(rows) != 2:
+        return None
+    r1, r2 = (tuple(r) for r in rows)
+    b = tuple(map(F, base))
+    b = vsub(b, vadd(vscale(r1, b[pivots[0]]), vscale(r2, b[pivots[1]])))
+    equations = []
+    for free in (i for i in range(4) if i not in pivots):
+        normal = [F(0)] * 4
+        normal[free] = F(1)
+        for r, p in zip((r1, r2), pivots):
+            normal[p] = -r[free]
+        row = ref_primitive((*normal, vdot(normal, b)))
+        equations.append((row[:4], row[4]))
+    m, p = common_denominator(b)
+    return b, r1, r2, tuple(equations), (ref_primitive(r1), ref_primitive(r2), p, m)
+
+
 def line_plane_system(ln, fl):
     """Augmented system of base_ln + t*d = base_fl + a*u + b*v."""
     cols = (ln.direction, vscale(fl.u, -1), vscale(fl.v, -1))
@@ -53,7 +133,7 @@ def line_plane_system(ln, fl):
 
 
 def ref_classify(ln, fl):
-    rows, pivots = rref(line_plane_system(ln, fl))
+    rows, pivots = ref_rref(line_plane_system(ln, fl))
     if 3 in pivots:
         return IncidenceKind.DISJOINT, None
     if len(pivots) == 3:
@@ -63,9 +143,9 @@ def ref_classify(ln, fl):
 
 def ref_span(l1, l2):
     diff = vsub(l2.base, l1.base)
-    if matrix_rank([l1.direction, l2.direction, diff]) >= 3:
+    if ref_rank([l1.direction, l2.direction, diff]) >= 3:
         return None
-    if matrix_rank([l1.direction, l2.direction]) == 2:
+    if ref_rank([l1.direction, l2.direction]) == 2:
         return Flat2(l1.base, l1.direction, l2.direction)
     return Flat2(l1.base, l1.direction, diff)
 
@@ -75,7 +155,7 @@ def plane_pair_rows(f1, f2):
 
 
 def ref_hyperplane(f1, f2):
-    rows, pivots = rref(plane_pair_rows(f1, f2))
+    rows, pivots = ref_rref(plane_pair_rows(f1, f2))
     if len(rows) != 3:
         return None
     free = next(i for i in range(4) if i not in pivots)
@@ -87,7 +167,7 @@ def ref_hyperplane(f1, f2):
 
 
 def ref_contains(fl, p):
-    return matrix_rank([fl.u, fl.v, vsub(p, fl.base)]) == 2
+    return ref_rank([fl.u, fl.v, vsub(p, fl.base)]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +395,7 @@ class TestCanonicalKeys:
     def test_cohyperplanar_key_names_the_hyperplane(self, basis, origin, params):
         """Every pair of distinct 2-flats in one hyperplane gets the same
         key: the hyperplane's primitive (normal, offset)."""
-        assume(matrix_rank(basis) == 3)
+        assume(ref_rank(basis) == 3)
 
         def inside(coeffs):
             return tuple(sum(c * b[i] for c, b in zip(coeffs[:3], basis)) for i in range(4))
@@ -334,3 +414,151 @@ class TestCanonicalKeys:
         normal = key[:4]
         assert all(vdot(normal, b) == 0 for b in basis)
         assert vdot(normal, origin) == key[4]
+
+
+# ---------------------------------------------------------------------------
+# Integer construction and fraction-free elimination
+# ---------------------------------------------------------------------------
+
+# Coordinates as ints, integral Fractions and Fractions over mixed denominators.
+rational = st.one_of(
+    small,
+    small.map(F),
+    st.builds(F, st.integers(-6, 6), st.integers(1, 4)),
+)
+nonzero_rational = rational.filter(bool)
+rvec = st.tuples(rational, rational, rational, rational)
+
+
+@st.composite
+def matrices(draw):
+    """Rational matrices with zero columns and dependent rows."""
+    ncols = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(rational, min_size=ncols, max_size=ncols), min_size=1, max_size=5))
+    for c in draw(st.lists(st.integers(0, ncols - 1), max_size=3)):
+        for row in rows:
+            row[c] = 0
+    if len(rows) >= 2 and draw(st.booleans()):
+        a, b = draw(small), draw(small)
+        rows.append([a * x + b * y for x, y in zip(rows[0], rows[1])])
+    return draw(st.permutations(rows))
+
+
+@st.composite
+def line_inputs(draw):
+    """(base, direction) with the direction's pivot at every position."""
+    lead = draw(st.integers(0, 3))
+    direction = list(draw(rvec))
+    direction[:lead] = [0] * lead
+    direction[lead] = draw(nonzero_rational)
+    return draw(rvec), tuple(direction)
+
+
+@st.composite
+def flat_inputs(draw):
+    """(base, u, v) spanning a 2-flat with pivot columns (p0, p1), drawn
+    over all six pairs: u and v are an invertible combination of a
+    reduced row echelon pair, scaled by rationals."""
+    p0, p1 = draw(st.sampled_from(list(itertools.combinations(range(4), 2))))
+    r1, r2 = [0] * 4, [0] * 4
+    r1[p0] = r2[p1] = 1
+    for c in range(p0 + 1, 4):
+        if c != p1:
+            r1[c] = draw(rational)
+    for c in range(p1 + 1, 4):
+        r2[c] = draw(rational)
+    a, b, c, e = draw(small), draw(small), draw(small), draw(small)
+    assume(a * e - b * c)
+    s, t = draw(nonzero_rational), draw(nonzero_rational)
+    u = tuple(s * (a * x + b * y) for x, y in zip(r1, r2))
+    v = tuple(t * (c * x + e * y) for x, y in zip(r1, r2))
+    return draw(rvec), u, v, (p0, p1)
+
+
+class TestConstruction:
+    @given(matrices())
+    @KERNEL
+    def test_rref_matches_reference(self, rows):
+        assert flats.rref(rows) == ref_rref(rows)
+        assert matrix_rank(rows) == ref_rank(rows)
+
+    @given(line_inputs())
+    @KERNEL
+    def test_line_matches_reference(self, case):
+        base, direction = case
+        ln = Line4(base, direction)
+        b, d, form = ref_line(base, direction)
+        assert (ln.base, ln.direction, ln.integer_form) == (b, d, form)
+        assert all(type(x) is F for x in (*ln.base, *ln.direction))
+
+    @given(flat_inputs())
+    @KERNEL
+    def test_flat_matches_reference(self, case):
+        base, u, v, (p0, p1) = case
+        fl = Flat2(base, u, v)
+        b, r1, r2, equations, form = ref_flat(base, u, v)
+        assert (fl.base, fl.u, fl.v) == (b, r1, r2)
+        assert (fl.equations, fl.integer_form) == (equations, form)
+        assert fl.u[p0] == fl.v[p1] == 1 and fl.u[p1] == fl.v[p0] == 0
+        assert all(type(x) is F for x in (*fl.base, *fl.u, *fl.v))
+
+    @given(rvec, rvec, rational)
+    @KERNEL
+    def test_dependent_span_raises(self, base, u, k):
+        assume(any(u))
+        with pytest.raises(InvariantViolationError, match="must be independent"):
+            Flat2(base, u, vscale(u, k))
+
+    @given(line_inputs(), rational, nonzero_rational)
+    @KERNEL
+    def test_line_reparametrised_is_equal(self, case, slide, k):
+        ln = Line4(*case)
+        moved = Line4(ln.point_at(slide), vscale(ln.direction, k))
+        assert moved == ln and hash(moved) == hash(ln)
+        assert moved.integer_form == ln.integer_form
+
+    @given(flat_inputs(), rational, rational, st.tuples(small, small, small, small))
+    @KERNEL
+    def test_flat_reparametrised_is_equal(self, case, a, b, coeffs):
+        base, u, v, _ = case
+        fl = Flat2(base, u, v)
+        c, d, e, f = coeffs
+        assume(c * f - d * e)
+        moved = Flat2(
+            fl.point_at(a, b),
+            vadd(vscale(u, c), vscale(v, d)),
+            vadd(vscale(u, e), vscale(v, f)),
+        )
+        assert moved == fl and hash(moved) == hash(fl)
+        assert moved.equations == fl.equations and moved.integer_form == fl.integer_form
+
+
+def _no_rref(*args, **kwargs):
+    raise AssertionError("the census path must not call flats.rref")
+
+
+@pytest.mark.parametrize(
+    "generator",
+    [
+        GeneratorSpec(GeneratorKind.GENERIC, 12, 8),
+        GeneratorSpec(GeneratorKind.STAR, 6, 5),
+        GeneratorSpec(GeneratorKind.PLANTED_RICH_FLAT, 12, 6, planted_line_count=5),
+        GeneratorSpec(GeneratorKind.PLANTED_RICH_HYPERPLANE, 6, 12, planted_plane_count=5),
+    ],
+    ids=lambda g: g.kind.value,
+)
+def test_census_path_runs_without_rref(generator, monkeypatch):
+    """Generation, counting, rich-flat detection and reloading build every
+    flat from integers: none of them eliminates over Fraction."""
+    monkeypatch.setattr(flats, "rref", _no_rref)
+    report = run_experiment(ExperimentSpec(generator, seed=3))
+    assert "## verdicts" in report.text
+
+
+def test_loading_runs_without_rref(monkeypatch):
+    # Planted hyperplane configurations carry Fraction coordinates.
+    spec = GeneratorSpec(GeneratorKind.PLANTED_RICH_HYPERPLANE, 4, 8, planted_plane_count=5)
+    data = config_to_dict(gen_planted(spec, seed=2)[0])
+    monkeypatch.setattr(flats, "rref", _no_rref)
+    cfg = config_from_dict(data)
+    assert config_to_dict(cfg) == data
