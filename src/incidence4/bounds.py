@@ -314,7 +314,8 @@ def eval_cell_decomposition(p: BoundParams) -> CellDecomposition:
     L, S, D, eps = p.num_lines, p.num_planes, p.degree, p.epsilon
     e1 = -(Fraction(1, 4) + 3 * eps / 2)
     e2 = -2 * eps
-    assert e1 < 0 and e2 < 0 and D >= 2
+    if not (e1 < 0 and e2 < 0 and D >= 2):
+        raise AssertionError("both D exponents must be negative and D >= 2")
     term1 = interval_power(D, e1) * interval_power(L, Fraction(3, 4) + eps / 2) * S
     term2 = interval_power(D, e2) * interval_power(S, Fraction(1, 2) + eps) * L
     return CellDecomposition(

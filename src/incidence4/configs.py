@@ -274,7 +274,8 @@ def gen_planted(spec: GeneratorSpec, seed: int | None = None):
         if not independent(u, v):
             return None
         pl = Flat2(base, u, v)
-        assert flat2_in_hyperplane(pl, hyper)
+        if not flat2_in_hyperplane(pl, hyper):
+            raise AssertionError("planted plane left its hyperplane")
         return pl
 
     def draw_generic_plane():

@@ -143,7 +143,8 @@ def kst_free_check(g: BipartiteIncidenceGraph, s: int, t: int):
         if len(common) >= s:
             left = sorted(common)[:s]
             for i, j in itertools.product(left, combo):
-                assert (i, j) in g.edges
+                if (i, j) not in g.edges:
+                    raise AssertionError("K_{s,t} witness uses a missing edge")
             return False, (tuple(left), tuple(combo))
     return True, None
 

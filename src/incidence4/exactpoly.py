@@ -1071,7 +1071,8 @@ def sample_points_between_roots(roots: Sequence[IsolatedRoot]) -> list[Fraction]
     pts = [roots[0].lower() - (1 if roots[0].is_exact else 0)]
     for left, right in zip(roots, roots[1:]):
         lo, hi = left.upper(), right.lower()
-        assert lo < hi, "isolating intervals must be disjoint"
+        if not lo < hi:
+            raise AssertionError("isolating intervals must be disjoint")
         pts.append((lo + hi) / 2 if left.is_exact or right.is_exact else lo)
     last = roots[-1]
     pts.append(last.upper() + (1 if last.is_exact else 0))
@@ -1192,7 +1193,8 @@ def bezout_point_check(q1: SparsePoly, q2: SparsePoly):
             a, b = b, a
         chain, _ = _prs(a, b)
         last, res = chain[-1]
-        assert len(last) == 1, "coprime curves have a nonzero resultant"
+        if len(last) != 1:
+            raise AssertionError("coprime curves have a nonzero resultant")
         if len(res.c) == 1:
             return False, 0
         if min(d1, d2) >= 2:

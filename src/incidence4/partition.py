@@ -6,9 +6,12 @@ Candidate bisectors are found by searching over hyperplanes in a
 Veronese-lifted monomial space (numeric search is allowed there), but a
 candidate is only ever accepted after its bisection contract has been
 verified exactly, so the returned partition carries no numeric trust.
-Every cell decision -- the per-point certification of a candidate, cell
-assignment, and the sign vectors sampled on a 2-flat -- is one call of
-the integer sign kernel `exactpoly.sign_vector`.  Every template of the
+A partition build clears each point once to P/m and lifts it once, to an
+integer row of the homogenised monomials m^(K-|e|) * P^e at the
+schedule's top degree K; a candidate is certified at every point by the
+sign of its primitive integer coefficients dotted with that row.  Cell
+assignment and the sign vectors sampled on a 2-flat are calls of the
+integer sign kernel `exactpoly.sign_vector`.  Every template of the
 search, from a unit, random, Newton or anchored direction, goes through
 one threshold sweep, and a certified factor is moved back to the input
 coordinates by the integer substitution kernel
@@ -27,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, product as iter_product
+from operator import mul
 
 import numpy as np
 
@@ -84,17 +88,40 @@ def lift_dimension(degree: int) -> int:
     return math.comb(4 + degree, 4) - 1
 
 
+@lru_cache(maxsize=None)
+def _lift_plan(exps) -> tuple[tuple[int, int], ...]:
+    """(parent row index, variable) per monomial of `exps`: row entry k+1
+    is row[parent] * x[variable], the parent being the monomial with one
+    less power of the first variable present (index 0 is the leading 1).
+    `exps` must list every monomial after the one it divides by a
+    variable, as a graded order does."""
+    index = {(0, 0, 0, 0): 0}
+    plan = []
+    for k, e in enumerate(exps, start=1):
+        var = next(i for i, p in enumerate(e) if p)
+        parent = list(e)
+        parent[var] -= 1
+        plan.append((index[tuple(parent)], var))
+        index[e] = k
+    return tuple(plan)
+
+
+def _lift_rows(points, exps) -> list[list]:
+    """[1, monomials...] of each point in R^4: the Veronese lift with a
+    leading 1, one multiplication per monomial; native ints stay ints."""
+    plan = _lift_plan(exps)
+    rows = []
+    for point in points:
+        row = [1]
+        append = row.append
+        for parent, var in plan:
+            append(row[parent] * point[var])
+        rows.append(row)
+    return rows
+
+
 def _lift_row(point, exps) -> list:
-    """[1, monomials...] of a point in R^4: the Veronese lift with a
-    leading 1, native ints preserved when possible."""
-    row = [1]
-    for e in exps:
-        v = 1
-        for x, p in zip(point, e):
-            if p:
-                v = v * x**p
-        row.append(v)
-    return row
+    return _lift_rows((point,), exps)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +327,7 @@ def ham_sandwich_bisect(
         return int(v) if v.denominator == 1 else v
 
     zsets = [[tuple(shifted(x, mu) for x, mu in zip(p, shift)) for p in s] for s in sets]
-    lifted_sets = [[_lift_row(p, exps) for p in s] for s in zsets]
+    lifted_sets = [_lift_rows(s, exps) for s in zsets]
     back = tuple(-mu for mu in shift)
     tried: set[tuple] = set()
 
@@ -451,18 +478,58 @@ def round_cell_bound(total: int, round_index: int, delta: Fraction) -> int:
     return math.ceil(Fraction(total) * (1 + delta) ** round_index / 2**round_index)
 
 
+def _homogeneous_rows(points, degree: int) -> list[list[int]]:
+    """One integer row per point, in the order of
+    `_lift_row(., monomial_exponents(degree))`: the entry for e is
+    m^(degree - |e|) * P^e, with the point cleared to P/m (m > 0).  For
+    an int point m = 1 and the row is its plain lift."""
+    exps = monomial_exponents(degree)
+    cleared = [common_denominator(p) for p in points]
+    rows = _lift_rows([nums for _, nums in cleared], exps)
+    gaps = [degree] + [degree - sum(e) for e in exps]
+    for (m, _), row in zip(cleared, rows):
+        if m != 1:
+            mpow = [m**k for k in range(degree + 1)]
+            row[:] = [v * mpow[g] for v, g in zip(row, gaps)]
+    return rows
+
+
+def _dense_coefficients(f: SparsePoly, index: dict) -> list[int]:
+    """The primitive integer coefficients of f (4 variables) laid out at
+    the row positions `index` gives each exponent, up to degree f."""
+    vec = [0] * (lift_dimension(f.degree) + 1)
+    for c, e, _ in f.integer_terms:
+        vec[index[e]] = c
+    return vec
+
+
+def _dot_sign(vec, row) -> int:
+    """Sign of f(P/m) for the dense coefficients `vec` of f and the
+    homogeneous row of P/m at degree K: the dot product is f(P/m) times
+    m^K and the positive scale of `integer_terms`."""
+    t = sum(map(mul, vec, row))
+    return (t > 0) - (t < 0)
+
+
 def build_partition(points, params: PartitionParams, seed: int = 0) -> PartitionPolynomial:
     """Iterated ham-sandwich partition of a finite point multiset.
 
     After round j every sign-orthant cell of the first j factors holds at
     most ceil(|points| * 2^-j * (1+delta)^j) points off the zero set;
     this is re-verified by exact cell assignment of every input point
-    before each factor is committed.  Integer coordinates stay ints.
+    before each factor is committed.  Each point is cleared to P/m and
+    lifted once, to an integer row at the schedule's top degree; a
+    candidate's sign at the point is the sign of its integer
+    coefficients dotted with that row, so no Fraction enters the check.
     """
     pts = [tuple(x if isinstance(x, int) else rat(x) for x in p) for p in points]
     total = len(pts)
     factors: list[SparsePoly] = []
     signs: list[SignVector] = [() for _ in pts]
+    top = max(params.lift_degree_schedule, default=0)
+    if top:
+        rows = _homogeneous_rows(pts, top)
+        index = {e: k for k, e in enumerate(((0, 0, 0, 0),) + monomial_exponents(top))}
 
     for j in range(1, params.rounds + 1):
         degree = params.lift_degree_schedule[j - 1]
@@ -489,9 +556,10 @@ def build_partition(points, params: PartitionParams, seed: int = 0) -> Partition
                 )
             except SearchBudgetError:
                 continue
+            vec = _dense_coefficients(candidate, index)
             new_signs = [
-                sv + sign_vector((candidate,), p) if 0 not in sv else sv + (0,)
-                for p, sv in zip(pts, signs)
+                sv + (_dot_sign(vec, row),) if 0 not in sv else sv + (0,)
+                for row, sv in zip(rows, signs)
             ]
             tally: dict[SignVector, int] = {}
             for sv in new_signs:
@@ -543,7 +611,8 @@ def line_cell_profile(ln, part: PartitionPolynomial):
     vectors = []
     for t in samples:
         sv = tuple(r.sign_at(t) for r in restrictions)
-        assert 0 not in sv, "sample landed on a root"
+        if 0 in sv:
+            raise AssertionError("sample landed on a root")
         vectors.append(sv)
     return roots, samples, vectors
 
