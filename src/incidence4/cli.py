@@ -136,7 +136,7 @@ def run_experiment(spec: ExperimentSpec, preloaded: ConfigurationSet | None = No
     if spec.partition is not None:
         points = _experiment_points(cfg, incidences)
         part = build_partition(points, spec.partition, seed=spec.partition_seed)
-        incidences = classify_by_partition(cfg, part)
+        incidences = classify_by_partition(incidences, part)
 
     constants = ConstantsProfile()
     lines_out = []
@@ -479,7 +479,7 @@ def _dispatch(args) -> int:
         points = _experiment_points(cfg, incidences)
         rounds = args.J if args.J is not None else 3
         part = build_partition(points, PartitionParams(rounds, args.delta), seed=args.seed)
-        report = classify_by_partition(cfg, part)
+        report = classify_by_partition(incidences, part)
         text = partition_to_text(part) + "\n" + (
             report_to_csv(report, part) if args.format == "csv" else report_to_text(report)
         )

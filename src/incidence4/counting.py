@@ -26,7 +26,8 @@ from .flats import (
     coplanar_key,
     span_flat2_of_lines,
 )
-from .partition import PartitionPolynomial, SignVector, cell_id
+from .exactpoly import sign_vectors
+from .partition import PartitionPolynomial, SignVector, assign_cells
 
 
 class TooLargeError(ValueError):
@@ -82,20 +83,13 @@ def count_incidences(cfg: ConfigurationSet) -> IncidenceReport:
     return IncidenceReport(len(records), containments, tuple(records))
 
 
-def classify_by_partition(cfg: ConfigurationSet, part: PartitionPolynomial) -> IncidenceReport:
-    """Incidence census with each incidence point assigned to its open
+def classify_by_partition(report: IncidenceReport, part: PartitionPolynomial) -> IncidenceReport:
+    """The census `report` with each incidence point assigned to its open
     sign-vector cell, or to the zero set when any factor vanishes there."""
-    base = count_incidences(cfg)
-    per_cell: dict[SignVector, int] = {}
-    zero = 0
-    for rec in base.records:
-        sv = cell_id(rec.location, part)
-        if 0 in sv:
-            zero += 1
-        else:
-            per_cell[sv] = per_cell.get(sv, 0) + 1
+    per_cell = assign_cells([rec.location for rec in report.records], part)
+    zero = report.point_incidences - sum(per_cell.values())
     return IncidenceReport(
-        base.point_incidences, base.containments, base.records, per_cell, zero
+        report.point_incidences, report.containments, report.records, per_cell, zero
     )
 
 
@@ -301,12 +295,13 @@ def report_to_text(report: IncidenceReport) -> str:
 def report_to_csv(report: IncidenceReport, part: PartitionPolynomial | None = None) -> str:
     """CSV rows (line_idx, plane_idx, x1..x4, cell signature or ZERO_SET)."""
     rows = ["line_idx,plane_idx,x1,x2,x3,x4,cell"]
-    for rec in report.records:
-        if part is not None:
-            sv = cell_id(rec.location, part)
-            cell = "ZERO_SET" if 0 in sv else "".join("+" if s > 0 else "-" for s in sv)
-        else:
-            cell = ""
+    cells = [""] * len(report.records)
+    if part is not None:
+        cells = [
+            "ZERO_SET" if 0 in sv else "".join("+" if s > 0 else "-" for s in sv)
+            for sv in sign_vectors(part.factors, [rec.location for rec in report.records])
+        ]
+    for rec, cell in zip(report.records, cells):
         coords = ",".join(str(x) for x in rec.location)
         rows.append(f"{rec.line_index},{rec.plane_index},{coords},{cell}")
     return "\n".join(rows) + "\n"

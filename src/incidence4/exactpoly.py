@@ -9,15 +9,18 @@ point enters any code path here.
 The hot paths run in Python ints on primitive integer forms.  Each
 SparsePoly and UniPoly caches one: its coefficients times the lcm of
 their denominators, divided by the gcd of the results, i.e. the
-polynomial times a positive constant (its scale).  Three kernels use it,
-and each is exact because it only multiplies by positive constants:
+polynomial times a positive constant (its scale; `clear_denominators`).
+Three kernels use it, and each is exact because it only multiplies by
+positive constants:
 
-  `sign_vector`   the sign of a SparsePoly at a rational point -- the
-                  predicate behind every partition cell.  The point is
-                  cleared once to P/m with integer P and m > 0, and f of
-                  degree D is evaluated homogenised, as the sum of
-                  c_e * m^(D-|e|) * prod P_i^e_i: that integer is f(P/m)
-                  times the positive m^D times the scale.
+  sign kernel     the signs of SparsePolys at rational points, behind
+                  every partition cell (`sign_vectors`).  Each point is
+                  cleared once to P/m with integer P and m > 0 and lifted
+                  once to the integer row of m^(K-|e|) * P^e over the
+                  graded monomials e up to the top degree K.  The dot
+                  product of that row with f's integer coefficients is
+                  f(P/m) times the positive m^K times the scale; f of
+                  degree D < K meets only the row's prefix up to D.
   substitution    p(base + sum_k t_k*dir_k) for p in at most 4
                   variables (`_substitution`).  Base and directions are
                   cleared to one denominator M, giving the integer linear
@@ -83,6 +86,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 Rational = Fraction
@@ -117,6 +123,14 @@ def common_denominator(values) -> tuple[int, tuple[int, ...]]:
     return m, tuple(x.numerator * (m // x.denominator) for x in values)
 
 
+def clear_denominators(values) -> tuple[int, ...]:
+    """The rationals `values` times one positive constant: coprime ints
+    with the same signs (all zeros stay zeros)."""
+    _, nums = common_denominator(values)
+    g = math.gcd(*nums) or 1
+    return tuple(v // g for v in nums)
+
+
 # ---------------------------------------------------------------------------
 # Sparse multivariate polynomials
 # ---------------------------------------------------------------------------
@@ -126,7 +140,7 @@ class SparsePoly:
 
     Immutable by convention: no method mutates `terms` after construction.
     Total degree is cached; the zero polynomial reports degree -1.  The
-    primitive integer form used by `sign_vector` and `_substitution` is
+    primitive integer form used by the sign kernel and `_substitution` is
     cached on first use.
     """
 
@@ -181,10 +195,9 @@ class SparsePoly:
             if self.nvars > 4:
                 raise ValueError("the integer form supports at most 4 variables")
             pad = (0,) * (4 - self.nvars)
-            _, nums = common_denominator(self.terms.values())
-            g = math.gcd(*nums)
             self._integer_terms = tuple(
-                (c // g, e + pad, self.degree - sum(e)) for c, e in zip(nums, self.terms)
+                (c, e + pad, self.degree - sum(e))
+                for c, e in zip(clear_denominators(self.terms.values()), self.terms)
             )
         return self._integer_terms
 
@@ -307,25 +320,117 @@ class SparsePoly:
         return out
 
 
-def sign_vector(polys: Sequence[SparsePoly], point: Sequence) -> tuple[int, ...]:
-    """Exact sign of each polynomial (at most 4 variables) at a point of
-    int / Fraction coordinates, in Python-int arithmetic (see the module
-    docstring)."""
-    m, coords = common_denominator(point)
-    top = max((f.degree for f in polys), default=0)
-    powers = range(top + 1)
-    # Missing coordinates only ever meet exponent 0 in the padded terms.
-    t0, t1, t2, t3 = [[x**k for k in powers] for x in coords] + [[1]] * (4 - len(coords))
-    mpow = [m**k for k in powers]
+# ---------------------------------------------------------------------------
+# The sign kernel: lifted rows dotted with integer coefficients
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def monomial_exponents(degree: int, nvars: int) -> tuple[tuple[int, ...], ...]:
+    """Exponent tuples of all monomials of total degree 1..degree in
+    `nvars` variables, in graded lexicographic order; the list for a
+    lower degree is a prefix of this one."""
+    if degree < 1:
+        raise ValueError("lift degree must be at least 1")
+    exps = [e for e in product(range(degree + 1), repeat=nvars) if 1 <= sum(e) <= degree]
+    exps.sort(key=lambda e: (sum(e), tuple(-v for v in e)))
+    return tuple(exps)
+
+
+@lru_cache(maxsize=None)
+def _lift_plan(exps) -> tuple[tuple[int, int], ...]:
+    """(parent row index, variable) per monomial of `exps` (graded): row
+    entry k+1 is row[parent] * x[variable], the parent having one less
+    power of the first variable present (index 0 is the leading 1)."""
+    index = {(0,) * len(exps[0]): 0}
+    plan = []
+    for k, e in enumerate(exps, start=1):
+        var = next(i for i, p in enumerate(e) if p)
+        parent = list(e)
+        parent[var] -= 1
+        plan.append((index[tuple(parent)], var))
+        index[e] = k
+    return tuple(plan)
+
+
+def _lift_rows(points, exps) -> list[list]:
+    """[1, monomials...] of each point: the Veronese lift with a leading
+    1, one multiplication per monomial; native ints stay ints."""
+    plan = _lift_plan(exps)
+    rows = []
+    for point in points:
+        row = [1]
+        append = row.append
+        for parent, var in plan:
+            append(row[parent] * point[var])
+        rows.append(row)
+    return rows
+
+
+def _homogeneous_rows(points, degree: int) -> list[list[int]]:
+    """One integer row per point, in the order of
+    `_lift_rows(., monomial_exponents(degree, nvars))`: the entry for e is
+    m^(degree - |e|) * P^e, with the point cleared to P/m (m > 0).  For
+    an int point m = 1 and the row is its plain lift."""
+    cleared = [common_denominator(p) for p in points]
+    if not cleared:
+        return []
+    exps = monomial_exponents(degree, len(cleared[0][1]))
+    rows = _lift_rows([nums for _, nums in cleared], exps)
+    gaps = [degree] + [degree - sum(e) for e in exps]
+    for (m, _), row in zip(cleared, rows):
+        if m != 1:
+            mpow = [m**k for k in range(degree + 1)]
+            row[:] = [v * mpow[g] for v, g in zip(row, gaps)]
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _row_index(degree: int, nvars: int) -> dict[tuple[int, ...], int]:
+    """Row position of each monomial of degree 0..degree, keyed by its
+    exponent padded to four variables, as `integer_terms` gives it."""
+    pad = (0,) * (4 - nvars)
+    exps = ((0,) * nvars,) + monomial_exponents(degree, nvars)
+    return {e + pad: k for k, e in enumerate(exps)}
+
+
+def _dense_coefficients(f: SparsePoly) -> list[int]:
+    """The primitive integer coefficients of f laid out at their row
+    positions, up to degree f: a prefix of a row of any higher degree."""
+    index = _row_index(max(f.degree, 1), f.nvars)
+    vec = [0] * len(index)
+    for c, e, _ in f.integer_terms:
+        vec[index[e]] = c
+    return vec
+
+
+def _row_signs(f: SparsePoly, rows) -> list[int]:
+    """Sign of f at each point whose homogeneous row, of a degree
+    K >= deg f, is in `rows`: the dot product is f(P/m) times m^K and
+    the positive scale of `integer_terms`."""
+    vec = _dense_coefficients(f)
     out = []
-    for f in polys:
-        if f.nvars != len(coords):
-            raise ValueError("point dimension mismatch")
-        total = 0
-        for c, (a, b, cc, d), rest in f.integer_terms:
-            total += c * mpow[rest] * t0[a] * t1[b] * t2[cc] * t3[d]
-        out.append((total > 0) - (total < 0))
-    return tuple(out)
+    for row in rows:
+        t = sum(map(mul, vec, row))
+        out.append((t > 0) - (t < 0))
+    return out
+
+
+def sign_vectors(polys: Sequence[SparsePoly], points) -> list[tuple[int, ...]]:
+    """Exact sign of each polynomial (at most 4 variables) at each point
+    of int / Fraction coordinates, in Python-int arithmetic: every point
+    is lifted once (see the module docstring)."""
+    points = list(points)
+    if not polys:
+        return [()] * len(points)
+    if len({f.nvars for f in polys} | {len(p) for p in points}) > 1:
+        raise ValueError("point dimension mismatch")
+    rows = _homogeneous_rows(points, max(1, *(f.degree for f in polys)))
+    return list(zip(*(_row_signs(f, rows) for f in polys)))
+
+
+def sign_vector(polys: Sequence[SparsePoly], point: Sequence) -> tuple[int, ...]:
+    """`sign_vectors` at one point."""
+    return sign_vectors(polys, (point,))[0]
 
 
 def poly4(terms: Mapping[tuple, object]) -> SparsePoly:
@@ -408,9 +513,7 @@ class UniPoly:
         """The coefficients scaled by a positive constant to coprime
         integers (empty for the zero polynomial)."""
         if self._integer_coeffs is None:
-            _, nums = common_denominator(self.coeffs)
-            g = math.gcd(*nums)
-            self._integer_coeffs = tuple(c // g for c in nums)
+            self._integer_coeffs = clear_denominators(self.coeffs)
         return self._integer_coeffs
 
     def eval(self, x) -> Fraction:

@@ -6,12 +6,11 @@ Candidate bisectors are found by searching over hyperplanes in a
 Veronese-lifted monomial space (numeric search is allowed there), but a
 candidate is only ever accepted after its bisection contract has been
 verified exactly, so the returned partition carries no numeric trust.
-A partition build clears each point once to P/m and lifts it once, to an
-integer row of the homogenised monomials m^(K-|e|) * P^e at the
-schedule's top degree K; a candidate is certified at every point by the
-sign of its primitive integer coefficients dotted with that row.  Cell
-assignment and the sign vectors sampled on a 2-flat are calls of the
-integer sign kernel `exactpoly.sign_vector`.  Every template of the
+This module does no sign arithmetic of its own: every sign of a factor
+at a point comes from the sign kernel of `exactpoly`.  A build lifts
+each point once, at the schedule's top degree, and certifies each
+candidate on those rows; cell assignment and the sign vectors sampled
+on a 2-flat lift their point sets once per call.  Every template of the
 search, from a unit, random, Newton or anchored direction, goes through
 one threshold sweep, and a certified factor is moved back to the input
 coordinates by the integer substitution kernel
@@ -26,26 +25,30 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import chain, product as iter_product
-from operator import mul
+from itertools import chain
 
 import numpy as np
 
 from .exactpoly import (
     SparsePoly,
     ZERO,
-    common_denominator,
+    _homogeneous_rows,
+    _lift_rows,
+    _row_signs,
+    clear_denominators,
     compose_affine,
     isolate_real_roots,
     merge_real_roots,
+    monomial_exponents,
     rat,
     restrict_to_flat2,
     restrict_to_line,
     sample_points_between_roots,
     sign_vector,
+    sign_vectors,
 )
 from .flats import rref
 
@@ -64,64 +67,9 @@ class FlatInZeroSetError(ValueError):
     """A partition factor vanishes identically on the 2-flat."""
 
 
-# ---------------------------------------------------------------------------
-# Veronese lift
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def monomial_exponents(degree: int) -> tuple[tuple[int, int, int, int], ...]:
-    """Exponent tuples of all monomials of total degree 1..degree in 4
-    variables, in graded lexicographic order."""
-    if degree < 1:
-        raise ValueError("lift degree must be at least 1")
-    exps = [
-        e
-        for e in iter_product(range(degree + 1), repeat=4)
-        if 1 <= sum(e) <= degree
-    ]
-    exps.sort(key=lambda e: (sum(e), tuple(-v for v in e)))
-    return tuple(exps)
-
-
 def lift_dimension(degree: int) -> int:
-    """C(4+degree, 4) - 1 monomials of degree 1..degree."""
+    """C(4+degree, 4) - 1 monomials of degree 1..degree in 4 variables."""
     return math.comb(4 + degree, 4) - 1
-
-
-@lru_cache(maxsize=None)
-def _lift_plan(exps) -> tuple[tuple[int, int], ...]:
-    """(parent row index, variable) per monomial of `exps`: row entry k+1
-    is row[parent] * x[variable], the parent being the monomial with one
-    less power of the first variable present (index 0 is the leading 1).
-    `exps` must list every monomial after the one it divides by a
-    variable, as a graded order does."""
-    index = {(0, 0, 0, 0): 0}
-    plan = []
-    for k, e in enumerate(exps, start=1):
-        var = next(i for i, p in enumerate(e) if p)
-        parent = list(e)
-        parent[var] -= 1
-        plan.append((index[tuple(parent)], var))
-        index[e] = k
-    return tuple(plan)
-
-
-def _lift_rows(points, exps) -> list[list]:
-    """[1, monomials...] of each point in R^4: the Veronese lift with a
-    leading 1, one multiplication per monomial; native ints stay ints."""
-    plan = _lift_plan(exps)
-    rows = []
-    for point in points:
-        row = [1]
-        append = row.append
-        for parent, var in plan:
-            append(row[parent] * point[var])
-        rows.append(row)
-    return rows
-
-
-def _lift_row(point, exps) -> list:
-    return _lift_rows((point,), exps)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +248,7 @@ def ham_sandwich_bisect(
     certifies.
     """
     delta = rat(delta)
-    exps = monomial_exponents(degree)
+    exps = monomial_exponents(degree, 4)
     m = len(exps)
     if len(sets) > m:
         raise ValueError(f"{len(sets)} sets exceed the lift freedom {m}")
@@ -376,7 +324,7 @@ def ham_sandwich_bisect(
         return Fraction(round(w[c] * 2**24)) / (2**24 * Fraction(mono_scale[c]))
 
     def exact_direction(w) -> list:
-        return _clear_denominators([rationalise(w, c) for c in range(m + 1)])[1:]
+        return clear_denominators([rationalise(w, c) for c in range(m + 1)])[1:]
 
     def anchored_attempt(w, anchor_sets) -> SparsePoly | None:
         """Solve the hyperplane-through-anchors system exactly, keeping
@@ -396,7 +344,7 @@ def ham_sandwich_bisect(
             x[c] = rationalise(w, c)
         for i, pcol in enumerate(pivots):
             x[pcol] = -sum(mat[i][c] * x[c] for c in free if x[c])
-        return sweep_attempt(_clear_denominators(x)[1:])
+        return sweep_attempt(clear_denominators(x)[1:])
 
     band_mid = [
         (max(0, p.shape[0] - 1 - cap) + min(cap, p.shape[0] - 1)) // 2
@@ -461,14 +409,6 @@ def ham_sandwich_bisect(
     )
 
 
-def _clear_denominators(values) -> list[int]:
-    """The rationals `values` times one positive constant: coprime ints
-    with the same signs (all zeros stay zeros)."""
-    _, nums = common_denominator(values)
-    g = math.gcd(*nums) or 1
-    return [v // g for v in nums]
-
-
 # ---------------------------------------------------------------------------
 # Partition construction
 # ---------------------------------------------------------------------------
@@ -478,37 +418,9 @@ def round_cell_bound(total: int, round_index: int, delta: Fraction) -> int:
     return math.ceil(Fraction(total) * (1 + delta) ** round_index / 2**round_index)
 
 
-def _homogeneous_rows(points, degree: int) -> list[list[int]]:
-    """One integer row per point, in the order of
-    `_lift_row(., monomial_exponents(degree))`: the entry for e is
-    m^(degree - |e|) * P^e, with the point cleared to P/m (m > 0).  For
-    an int point m = 1 and the row is its plain lift."""
-    exps = monomial_exponents(degree)
-    cleared = [common_denominator(p) for p in points]
-    rows = _lift_rows([nums for _, nums in cleared], exps)
-    gaps = [degree] + [degree - sum(e) for e in exps]
-    for (m, _), row in zip(cleared, rows):
-        if m != 1:
-            mpow = [m**k for k in range(degree + 1)]
-            row[:] = [v * mpow[g] for v, g in zip(row, gaps)]
-    return rows
-
-
-def _dense_coefficients(f: SparsePoly, index: dict) -> list[int]:
-    """The primitive integer coefficients of f (4 variables) laid out at
-    the row positions `index` gives each exponent, up to degree f."""
-    vec = [0] * (lift_dimension(f.degree) + 1)
-    for c, e, _ in f.integer_terms:
-        vec[index[e]] = c
-    return vec
-
-
-def _dot_sign(vec, row) -> int:
-    """Sign of f(P/m) for the dense coefficients `vec` of f and the
-    homogeneous row of P/m at degree K: the dot product is f(P/m) times
-    m^K and the positive scale of `integer_terms`."""
-    t = sum(map(mul, vec, row))
-    return (t > 0) - (t < 0)
+def _open_cells(signs) -> dict[SignVector, int]:
+    """Point count per open cell: the sign vectors without a zero."""
+    return Counter(sv for sv in signs if 0 not in sv)
 
 
 def build_partition(points, params: PartitionParams, seed: int = 0) -> PartitionPolynomial:
@@ -517,10 +429,9 @@ def build_partition(points, params: PartitionParams, seed: int = 0) -> Partition
     After round j every sign-orthant cell of the first j factors holds at
     most ceil(|points| * 2^-j * (1+delta)^j) points off the zero set;
     this is re-verified by exact cell assignment of every input point
-    before each factor is committed.  Each point is cleared to P/m and
-    lifted once, to an integer row at the schedule's top degree; a
-    candidate's sign at the point is the sign of its integer
-    coefficients dotted with that row, so no Fraction enters the check.
+    before each factor is committed.  Each point is lifted once by the
+    sign kernel, at the schedule's top degree, and every candidate is
+    signed on those rows, so no Fraction enters the check.
     """
     pts = [tuple(x if isinstance(x, int) else rat(x) for x in p) for p in points]
     total = len(pts)
@@ -529,7 +440,6 @@ def build_partition(points, params: PartitionParams, seed: int = 0) -> Partition
     top = max(params.lift_degree_schedule, default=0)
     if top:
         rows = _homogeneous_rows(pts, top)
-        index = {e: k for k, e in enumerate(((0, 0, 0, 0),) + monomial_exponents(top))}
 
     for j in range(1, params.rounds + 1):
         degree = params.lift_degree_schedule[j - 1]
@@ -556,16 +466,8 @@ def build_partition(points, params: PartitionParams, seed: int = 0) -> Partition
                 )
             except SearchBudgetError:
                 continue
-            vec = _dense_coefficients(candidate, index)
-            new_signs = [
-                sv + (_dot_sign(vec, row),) if 0 not in sv else sv + (0,)
-                for row, sv in zip(rows, signs)
-            ]
-            tally: dict[SignVector, int] = {}
-            for sv in new_signs:
-                if 0 not in sv:
-                    tally[sv] = tally.get(sv, 0) + 1
-            if all(v <= bound for v in tally.values()):
+            new_signs = [sv + (s,) for sv, s in zip(signs, _row_signs(candidate, rows))]
+            if all(v <= bound for v in _open_cells(new_signs).values()):
                 factor = candidate
                 signs = new_signs
                 break
@@ -578,12 +480,7 @@ def build_partition(points, params: PartitionParams, seed: int = 0) -> Partition
 
 def assign_cells(points, part: PartitionPolynomial) -> dict[SignVector, int]:
     """Exact point count per open cell (zero-set points excluded)."""
-    tally: dict[SignVector, int] = {}
-    for p in points:
-        sv = cell_id(p, part)
-        if 0 not in sv:
-            tally[sv] = tally.get(sv, 0) + 1
-    return tally
+    return _open_cells(sign_vectors(part.factors, points))
 
 
 # ---------------------------------------------------------------------------
@@ -646,7 +543,7 @@ def flat2_crossing_stats(
 ) -> int:
     """Certified lower bound on the open cells a 2-flat enters.
 
-    Takes the exact factor sign vectors (`sign_vector` on the restricted
+    Takes the exact factor sign vectors (`sign_vectors` on the restricted
     factors) at `sample_budget` deterministic rational lattice points of
     the flat's coordinate chart, in the square [-16, 16]^2; distinct
     all-nonzero sign vectors witness distinct cells.  The count is
@@ -658,14 +555,12 @@ def flat2_crossing_stats(
         if r.is_zero:
             raise FlatInZeroSetError(f"factor {idx} vanishes on the 2-flat")
         restrictions.append(r)
-    seen: set[SignVector] = set()
     g1, g2, q = _LATTICE
-    for i in range(1, sample_budget + 1):
-        a = Fraction(-16) + Fraction(32 * (i * g1 % q), q)
-        b = Fraction(-16) + Fraction(32 * (i * g2 % q), q)
-        sv = sign_vector(restrictions, (a, b))
-        if 0 not in sv:
-            seen.add(sv)
+    samples = [
+        (Fraction(32 * (i * g1 % q), q) - 16, Fraction(32 * (i * g2 % q), q) - 16)
+        for i in range(1, sample_budget + 1)
+    ]
+    seen = {sv for sv in sign_vectors(restrictions, samples) if 0 not in sv}
     d = part.degree
     if len(seen) > d * d + d + 1:
         raise AssertionError("2-flat entered more cells than its region bound")

@@ -327,7 +327,7 @@ def test_criterion_11_oracle_reconciliation(big_partition, collinear_fixture):
     for cfg in configs:
         plain = count_incidences(cfg)
         for part in partitions:
-            attributed = classify_by_partition(cfg, part)
+            attributed = classify_by_partition(plain, part)
             assert attributed.point_incidences == plain.point_incidences
             assert attributed.containments == plain.containments
             assert (

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from incidence4 import counting
 from incidence4.configs import GeneratorKind, GeneratorSpec, gen_generic, gen_planted, gen_star
 from incidence4.counting import (
     BipartiteIncidenceGraph,
@@ -63,22 +64,36 @@ class TestCounting:
 class TestPartitionAttribution:
     def test_off_zero_set(self):
         part = PartitionPolynomial((poly4({(1, 0, 0, 0): 1, (0, 0, 0, 0): -1}),))
-        report = classify_by_partition(STAR, part)
+        report = classify_by_partition(count_incidences(STAR), part)
         assert report.zero_set_count == 0
         assert report.per_cell == {(-1,): 6}
 
     def test_center_on_zero_set(self):
         part = PartitionPolynomial((poly4({(1, 0, 0, 0): 1}),))
-        report = classify_by_partition(STAR, part)
+        report = classify_by_partition(count_incidences(STAR), part)
         assert report.zero_set_count == 6
         assert report.per_cell == {}
 
     def test_generic_all_zero(self):
         cfg = gen_generic(5, 5, seed=42)
         part = PartitionPolynomial((poly4({(1, 0, 0, 0): 1}),))
-        report = classify_by_partition(cfg, part)
+        report = classify_by_partition(count_incidences(cfg), part)
         assert report.point_incidences == 0
         assert report.per_cell == {} and report.zero_set_count == 0
+
+    def test_takes_the_callers_report(self, monkeypatch):
+        """Attribution reuses the census it is given: no pair is
+        classified a second time."""
+        report = count_incidences(STAR)
+
+        def recount(cfg):
+            raise AssertionError("classify_by_partition called count_incidences")
+
+        monkeypatch.setattr(counting, "count_incidences", recount)
+        part = PartitionPolynomial((poly4({(1, 0, 0, 0): 1, (0, 0, 0, 0): -1}),))
+        attributed = classify_by_partition(report, part)
+        assert attributed.records == report.records
+        assert attributed.per_cell == {(-1,): 6} and attributed.zero_set_count == 0
 
     def test_reconciliation_enforced(self):
         with pytest.raises(ValueError):
@@ -233,7 +248,7 @@ class TestRendering:
 
     def test_csv_report(self):
         part = PartitionPolynomial((poly4({(1, 0, 0, 0): 1}),))
-        report = classify_by_partition(STAR, part)
+        report = classify_by_partition(count_incidences(STAR), part)
         csv = report_to_csv(report, part)
         lines = csv.strip().splitlines()
         assert lines[0] == "line_idx,plane_idx,x1,x2,x3,x4,cell"

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from incidence4.exactpoly import poly4, sign
+from incidence4.exactpoly import _lift_rows, monomial_exponents, poly4, sign
 from incidence4.flats import Flat2, Line4
 from incidence4.partition import (
     FlatInZeroSetError,
@@ -15,7 +15,6 @@ from incidence4.partition import (
     PartitionParams,
     PartitionPolynomial,
     SearchBudgetError,
-    _lift_row,
     assign_cells,
     build_partition,
     cell_id,
@@ -26,14 +25,14 @@ from incidence4.partition import (
     lift_dimension,
     line_cell_profile,
     line_crossing_stats,
-    monomial_exponents,
     round_cell_bound,
 )
 
 
 def veronese_lift(point, degree):
     """Monomial coordinates (degree 1..degree): the lift the bisection uses."""
-    return _lift_row(point, monomial_exponents(degree))[1:]
+    (row,) = _lift_rows([point], monomial_exponents(degree, 4))
+    return row[1:]
 
 
 class TestVeroneseLift:
@@ -48,12 +47,12 @@ class TestVeroneseLift:
 
     def test_fraction_coordinates(self):
         lifted = veronese_lift((F(1, 2), 0, F(-3), 0), 2)
-        exps = monomial_exponents(2)
+        exps = monomial_exponents(2, 4)
         assert lifted[exps.index((2, 0, 0, 0))] == F(1, 4)
         assert lifted[exps.index((1, 0, 1, 0))] == F(-3, 2)
 
     def test_cross_term(self):
-        exps = monomial_exponents(2)
+        exps = monomial_exponents(2, 4)
         lifted = veronese_lift((1, 2, 0, 0), 2)
         assert lifted[exps.index((1, 1, 0, 0))] == 2
 

@@ -1,13 +1,16 @@
-"""Each point lifted once: the Veronese rows behind `build_partition`.
+"""Each point lifted once: the rows behind the sign kernel of `exactpoly`.
 
-`partition._lift_row` builds each monomial as an earlier monomial times
-one variable; the reference is the direct power product of every
-coordinate.  `build_partition` clears every point once to P/m, lifts it
-once to an integer row at the schedule's top degree, and decides a
-candidate's sign at the point by a dot product with the candidate's
-integer coefficients; the reference is `exactpoly.sign_vector`.
-Hypothesis draws int, negative and mixed-denominator Fraction points,
-factors of every degree up to the row's, and points forced onto Z(f).
+`exactpoly._lift_rows` builds each monomial as an earlier monomial times
+one variable, and `_dense_coefficients` lays a polynomial's integer
+coefficients out in the same order; the reference for both is the direct
+power product of every coordinate.  `_homogeneous_rows` clears every
+point once to P/m and lifts it once; a polynomial's sign at the point is
+a dot product of its coefficients with that row (`_row_signs`), and the
+reference is the sign of Fraction `SparsePoly.eval`.  Hypothesis draws
+int, negative and mixed-denominator Fraction points in 4 and 2
+variables, factors of every degree up to the row's, and points forced
+onto Z(f).  `build_partition`, `assign_cells` and `classify_by_partition`
+each lift their points once per call.
 """
 
 import math
@@ -17,28 +20,32 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from incidence4 import partition
-from incidence4.exactpoly import SparsePoly, sign_vector
-from incidence4.partition import (
-    PartitionParams,
+from incidence4 import exactpoly, partition
+from incidence4.configs import gen_star
+from incidence4.counting import classify_by_partition, count_incidences
+from incidence4.exactpoly import (
+    SparsePoly,
     _dense_coefficients,
-    _dot_sign,
     _homogeneous_rows,
-    _lift_row,
-    assign_cells,
-    build_partition,
+    _lift_rows,
+    _row_signs,
     monomial_exponents,
-    round_cell_bound,
+    sign,
 )
+from incidence4.partition import PartitionParams, assign_cells, build_partition, round_cell_bound
 
 ORACLE = settings(max_examples=100, deadline=None)
+nvars_st = st.sampled_from((4, 2))
 
 coordinates = st.one_of(
     st.integers(-60, 60),
     st.fractions(min_value=-60, max_value=60, max_denominator=30),
 )
-int_points = st.lists(st.integers(-10**6, 10**6), min_size=4, max_size=4).map(tuple)
-points = st.one_of(int_points, st.lists(coordinates, min_size=4, max_size=4).map(tuple))
+
+
+def points(nvars: int):
+    ints = st.lists(st.integers(-10**6, 10**6), min_size=nvars, max_size=nvars).map(tuple)
+    return st.one_of(ints, st.lists(coordinates, min_size=nvars, max_size=nvars).map(tuple))
 
 
 def power_product_lift(point, exps):
@@ -53,84 +60,111 @@ def power_product_lift(point, exps):
     return row
 
 
-def row_index(degree: int) -> dict:
-    return {e: k for k, e in enumerate(((0, 0, 0, 0),) + monomial_exponents(degree))}
-
-
-def factors(max_degree: int):
-    exponent = st.sampled_from(((0, 0, 0, 0),) + monomial_exponents(max_degree))
+def factors(max_degree: int, nvars: int):
+    exponent = st.sampled_from(((0,) * nvars,) + monomial_exponents(max_degree, nvars))
     coefficient = st.fractions(min_value=-50, max_value=50, max_denominator=12).filter(bool)
     return st.dictionaries(exponent, coefficient, min_size=1, max_size=10).map(
-        lambda terms: SparsePoly(4, terms)
+        lambda terms: SparsePoly(nvars, terms)
     )
 
 
 def row_sign(f, point, top: int) -> int:
-    (row,) = _homogeneous_rows([point], top)
-    return _dot_sign(_dense_coefficients(f, row_index(top)), row)
+    return _row_signs(f, _homogeneous_rows([point], top))[0]
 
 
 @ORACLE
-@given(point=points, degree=st.integers(1, 6))
-def test_lift_matches_power_products(point, degree):
-    exps = monomial_exponents(degree)
-    lifted = _lift_row(point, exps)
+@given(data=st.data(), nvars=nvars_st, degree=st.integers(1, 6))
+def test_lift_matches_power_products(data, nvars, degree):
+    point = data.draw(points(nvars))
+    exps = monomial_exponents(degree, nvars)
+    (lifted,) = _lift_rows([point], exps)
     assert lifted == power_product_lift(point, exps)
     assert all(type(v) is int for v in lifted) == all(type(x) is int for x in point)
 
 
+def test_monomial_counts():
+    # C(n+k, n) - 1 monomials of degree 1..k; 27 in 2 variables at degree 6
+    assert [len(monomial_exponents(k, 2)) for k in (1, 2, 6)] == [2, 5, 27]
+    assert [len(monomial_exponents(k, 4)) for k in (1, 2, 6)] == [4, 14, 209]
+    assert monomial_exponents(6, 2)[:5] == monomial_exponents(2, 2)
+
+
 @ORACLE
-@given(point=points, degree=st.integers(1, 6))
-def test_rows_are_homogenised_lifts(point, degree):
+@given(data=st.data(), nvars=nvars_st, degree=st.integers(1, 6))
+def test_rows_are_homogenised_lifts(data, nvars, degree):
+    point = data.draw(points(nvars))
     (row,) = _homogeneous_rows([point], degree)
     m = math.lcm(*(x.denominator for x in point))
     scaled = tuple(x * m for x in point)
-    gaps = [degree] + [degree - sum(e) for e in monomial_exponents(degree)]
-    expected = [v * m**g for v, g in zip(power_product_lift(scaled, monomial_exponents(degree)), gaps)]
+    exps = monomial_exponents(degree, nvars)
+    gaps = [degree] + [degree - sum(e) for e in exps]
+    expected = [v * m**g for v, g in zip(power_product_lift(scaled, exps), gaps)]
     assert row == expected
     assert all(type(v) is int for v in row)
 
 
 @ORACLE
-@given(data=st.data(), top=st.integers(1, 6))
-def test_row_sign_matches_sign_vector(data, top):
-    f = data.draw(factors(data.draw(st.integers(1, top))))
-    x = data.draw(points)
-    assert row_sign(f, x, top) == sign_vector((f,), x)[0]
+@given(data=st.data(), nvars=nvars_st, degree=st.integers(1, 6))
+def test_dense_coefficients_against_power_products(data, nvars, degree):
+    """The coefficients dotted with the plain lift are f(x) times the
+    positive scale of the integer form, laid out up to degree f."""
+    f = data.draw(factors(degree, nvars))
+    x = data.draw(points(nvars))
+    vec = _dense_coefficients(f)
+    assert len(vec) == len(monomial_exponents(max(f.degree, 1), nvars)) + 1
+    c, e, _ = f.integer_terms[0]
+    scale = c / f.terms[e[:nvars]]
+    assert scale > 0
+    lift = power_product_lift(x, monomial_exponents(degree, nvars))
+    assert sum(v * w for v, w in zip(vec, lift)) == scale * f.eval(x)
 
 
 @ORACLE
-@given(data=st.data(), top=st.integers(2, 6))
-def test_forced_zero_set(data, top):
+@given(data=st.data(), nvars=nvars_st, top=st.integers(1, 6))
+def test_row_sign_matches_fraction_eval(data, nvars, top):
+    f = data.draw(factors(data.draw(st.integers(1, top)), nvars))
+    x = data.draw(points(nvars))
+    assert row_sign(f, x, top) == sign(f.eval(x))
+
+
+@ORACLE
+@given(data=st.data(), nvars=nvars_st, top=st.integers(2, 6))
+def test_forced_zero_set(data, nvars, top):
     """f * (x_i - a) vanishes wherever x_i = a, whatever f is there."""
-    f = data.draw(factors(data.draw(st.integers(1, top - 1))))
-    x = data.draw(points)
-    i = data.draw(st.integers(0, 3))
-    linear = SparsePoly(4, {(0, 0, 0, 0): -F(x[i]), tuple(int(k == i) for k in range(4)): 1})
+    f = data.draw(factors(data.draw(st.integers(1, top - 1)), nvars))
+    x = data.draw(points(nvars))
+    i = data.draw(st.integers(0, nvars - 1))
+    linear = SparsePoly(nvars, {(0,) * nvars: -F(x[i]), tuple(int(k == i) for k in range(nvars)): 1})
     g = f * linear
-    assert row_sign(g, x, top) == sign_vector((g,), x)[0] == 0
-    assert row_sign(f, x, top) == sign_vector((f,), x)[0]
-
-
-def _no_sign_vector(*args, **kwargs):
-    raise AssertionError("build_partition called sign_vector")
+    assert row_sign(g, x, top) == sign(g.eval(x)) == 0
+    assert row_sign(f, x, top) == sign(f.eval(x))
 
 
 @pytest.mark.parametrize("coords", ["int", "fraction"])
-def test_build_certifies_without_sign_vector(coords, monkeypatch):
-    """Candidates are certified on the cached rows, not one `sign_vector`
-    call per point per candidate; the result still meets the cell bound
-    when every point is assigned by `sign_vector`."""
+def test_each_call_lifts_its_points_once(coords, monkeypatch):
+    """`build_partition` certifies every candidate on one set of rows, and
+    `assign_cells` and `classify_by_partition` lift their points once; the
+    build still meets the cell bound."""
     rng = random.Random(5)
     if coords == "int":
         pts = [tuple(rng.randint(-40, 40) for _ in range(4)) for _ in range(96)]
     else:
         pts = [tuple(F(rng.randint(-400, 400), rng.randint(1, 9)) for _ in range(4)) for _ in range(96)]
-    params = PartitionParams(4, F(1, 10))
-    with monkeypatch.context() as patched:
-        patched.setattr(partition, "sign_vector", _no_sign_vector)
-        part = build_partition(pts, params, seed=2)
-    assert part.rounds == 4
+    report = count_incidences(gen_star(6, 5, seed=1))
+    calls = []
+
+    def counted(points, degree):
+        calls.append(degree)
+        return _homogeneous_rows(points, degree)
+
+    for module in (exactpoly, partition):
+        monkeypatch.setattr(module, "_homogeneous_rows", counted)
+    part = build_partition(pts, PartitionParams(4, F(1, 10)), seed=2)
+    assert part.rounds == 4 and len(calls) == 1
     tally = assign_cells(pts, part)
+    assert len(calls) == 2
+    attributed = classify_by_partition(report, part)
+    assert len(calls) == 3
     assert max(tally.values()) <= round_cell_bound(len(pts), 4, F(1, 10))
     assert sum(tally.values()) <= len(pts)
+    assert sum(attributed.per_cell.values()) + attributed.zero_set_count == report.point_incidences

@@ -1,11 +1,13 @@
 """The integer sign kernel against Fraction evaluation.
 
-`exactpoly.sign_vector` decides the sign of each polynomial at a point in
-Python ints, on the cached primitive integer form of each polynomial and
-the point cleared to P/m.  The reference is the direct way: the sign of
-`SparsePoly.eval` on Fractions.  Hypothesis draws 4- and 2-variable
-polynomials with Fraction coefficients, points of int, integral-Fraction
-and mixed-denominator coordinates, and forces points onto the zero set.
+`exactpoly.sign_vectors` decides the sign of each polynomial at each point
+in Python ints: every point is cleared to P/m and lifted once, and each
+sign is a dot product with the cached primitive integer form of the
+polynomial; `sign_vector` is its one-point call.  The reference is the
+direct way: the sign of `SparsePoly.eval` on Fractions.  Hypothesis draws
+4- and 2-variable polynomials with Fraction coefficients, points of int,
+integral-Fraction and mixed-denominator coordinates, and forces points
+onto the zero set.
 """
 
 from fractions import Fraction as F
@@ -13,7 +15,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from incidence4.exactpoly import SparsePoly, sign, sign_vector
+from incidence4.exactpoly import SparsePoly, sign, sign_vector, sign_vectors
 from incidence4.partition import assign_cells
 
 KERNEL = settings(max_examples=150, deadline=None)
@@ -96,6 +98,23 @@ def test_integer_form_is_primitive_and_positive():
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         sign_vector((SparsePoly.variable(4, 0),), (1, 2))
+    with pytest.raises(ValueError):
+        sign_vectors((SparsePoly.variable(2, 0),), [(1, 2), (1, 2, 3, 4)])
+
+
+def test_no_polynomials_give_empty_vectors():
+    assert sign_vector((), (1, F(1, 2), 3, 4)) == ()
+    assert sign_vectors((), [(1, 2), (3, 4)]) == [(), ()]
+
+
+@pytest.mark.parametrize("nvars", [4, 2])
+@KERNEL
+@given(data=st.data())
+def test_batch_matches_fraction_eval(nvars, data):
+    """Several points lifted in one call, at mixed degrees and scales."""
+    ps = [data.draw(polys(nvars, max_degree=d)) for d in (0, 2, 4)]
+    xs = data.draw(st.lists(points(nvars), max_size=6))
+    assert sign_vectors(ps, xs) == [reference(ps, x) for x in xs]
 
 
 def test_assign_cells_matches_fraction_reference(big_partition):
