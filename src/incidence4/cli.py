@@ -291,10 +291,9 @@ def grid_rows(l_values, s_values_for, d_values, eps_values):
 def log_spaced_s(L: int, count: int = 3) -> list[int]:
     """`count` log-spaced S values inside the regime band for L."""
     factor = bnd.REGIME_FACTOR
-    lo = factor * math.isqrt(L)
-    if factor * factor * L > lo * lo * 1:  # ceil adjustment for the sqrt
-        while lo * lo < factor * factor * L:
-            lo += 1
+    n = factor * factor * L
+    r = math.isqrt(n)
+    lo = r + (r * r < n)  # ceil(factor * sqrt(L))
     hi = L // factor
     if lo > hi:
         return []

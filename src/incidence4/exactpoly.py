@@ -1,17 +1,14 @@
 """Exact polynomial arithmetic over the rationals.
 
 Everything in this module is exact: scalars at the API are
-`fractions.Fraction`, polynomials store Fraction coefficients, and every
-predicate (root counting, common-factor detection, intersection
-counting) is decided by integer/rational arithmetic alone.  No floating
-point enters any code path here.
+`fractions.Fraction`, and every predicate (root counting, common-factor
+detection, intersection counting) is decided by integer/rational
+arithmetic alone.  No floating point enters any code path here.
 
-The hot paths run in Python ints on primitive integer forms.  Each
-SparsePoly and UniPoly caches one: its coefficients times the lcm of
-their denominators, divided by the gcd of the results, i.e. the
-polynomial times a positive constant (its scale; `clear_denominators`).
-Three kernels use it, and each is exact because it only multiplies by
-positive constants:
+Each SparsePoly and UniPoly is stored once, as its primitive integer
+form: the polynomial times one positive rational constant, its scale
+(see Representations).  Three kernels run in Python ints on that form,
+and each is exact because it only multiplies by positive constants:
 
   sign kernel     the signs of SparsePolys at rational points, behind
                   every partition cell (`sign_vectors`).  Each point is
@@ -26,9 +23,9 @@ positive constants:
                   cleared to one denominator M, giving the integer linear
                   forms B_i + sum_k t_k*U_ki; the sum of
                   c_e * M^(D-|e|) * prod form_i^e_i is the result times
-                  M^D times the scale, and one division per coefficient
-                  returns the exact Fraction polynomial.  It has four
-                  callers: `restrict_to_line` and `restrict_to_flat2`
+                  M^D times the scale, so those integers with that
+                  constant are the result; nothing is divided.  It has
+                  four callers: `restrict_to_line` and `restrict_to_flat2`
                   (through `compose_affine`), the shift back p(x - shift)
                   of each bisection factor in `partition`, and the shear
                   q(x + lam*y, y) of `bezout_point_check`.
@@ -71,11 +68,20 @@ Representations:
 
   Rational    = fractions.Fraction (auto-canonical: positive denominator,
                 reduced; structural equality).
-  SparsePoly  = map from exponent tuples to Fraction, one int per
-                variable.  Zero coefficients are never stored; the zero
-                polynomial has an empty term map and total degree -1.
-  UniPoly     = dense coefficient list, lowest degree first, no trailing
-                zeros; the zero polynomial is the empty list (degree -1).
+  SparsePoly  = `integer_terms`, one (c_e, e, deg - |e|) per nonzero term
+                with coprime ints c_e and e padded to four variables,
+                and the scale `integer_scale`.  `terms`, the map from
+                exponent tuples to Fraction, is derived on first read.
+  UniPoly     = `integer_coeffs`, coprime ints, lowest degree first, no
+                trailing zeros, and `integer_scale`; `coeffs`, the
+                Fraction tuple, is derived on first read.
+
+The zero polynomial has no coefficients, scale 1 and degree -1.  Both
+forms are canonical (the positive constant that makes a rational
+polynomial primitive over Z is unique), so equal polynomials compare
+and hash equal however they were built.  The Fraction constructors and
+the Fraction arithmetic on the views are the reference the tests hold
+the kernels to.
 
 Four-variable sparse polynomials ("MultiPoly4") and two-variable ones
 ("BiPoly") share the SparsePoly machinery and only differ in `nvars`.
@@ -136,18 +142,16 @@ def clear_denominators(values) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 class SparsePoly:
-    """Sparse polynomial in `nvars` variables with Fraction coefficients.
+    """Sparse polynomial in `nvars` <= 4 variables, stored as its
+    primitive integer form (see Representations in the module docstring).
 
-    Immutable by convention: no method mutates `terms` after construction.
-    Total degree is cached; the zero polynomial reports degree -1.  The
-    primitive integer form used by the sign kernel and `_substitution` is
-    cached on first use.
+    Immutable by convention: nothing is changed after construction.  The
+    Fraction coefficients `terms` are derived on first read and cached.
     """
 
-    __slots__ = ("nvars", "terms", "degree", "_integer_terms")
+    __slots__ = ("nvars", "degree", "integer_terms", "integer_scale", "_terms")
 
     def __init__(self, nvars: int, terms: Mapping[tuple, object] | None = None):
-        self.nvars = nvars
         clean: dict[tuple, Fraction] = {}
         if terms:
             for expo, coeff in terms.items():
@@ -160,11 +164,32 @@ class SparsePoly:
                 clean[e] = clean.get(e, ZERO) + c
                 if clean[e] == 0:
                     del clean[e]
-        self.terms = clean
-        self.degree = max((sum(e) for e in clean), default=-1)
-        self._integer_terms = None
+        m, nums = common_denominator(clean.values())
+        self._store(nvars, dict(zip(clean, nums)), m)
+
+    def _store(self, nvars: int, terms: Mapping[tuple, int], den) -> None:
+        if nvars > 4:
+            raise ValueError("SparsePoly supports at most 4 variables")
+        terms = {e: c for e, c in terms.items() if c}
+        g = math.gcd(*terms.values())
+        pad = (0,) * (4 - nvars)
+        self.nvars = nvars
+        self.degree = max(map(sum, terms), default=-1)
+        self.integer_terms = tuple(
+            (c // g, e + pad, self.degree - sum(e)) for e, c in terms.items()
+        )
+        self.integer_scale = Fraction(den, g) if terms else ONE
+        self._terms = None
 
     # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def from_integers(cls, nvars: int, terms: Mapping[tuple, int], den) -> "SparsePoly":
+        """sum_e terms[e] * x^e / den, for int coefficients keyed by
+        exponent tuples of length `nvars` and a positive rational `den`."""
+        out = cls.__new__(cls)
+        out._store(nvars, terms, den)
+        return out
 
     @classmethod
     def zero(cls, nvars: int) -> "SparsePoly":
@@ -184,32 +209,27 @@ class SparsePoly:
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.integer_terms
 
     @property
-    def integer_terms(self) -> tuple[tuple[int, tuple[int, ...], int], ...]:
-        """(c_e, e, degree - |e|) per term: the coefficients scaled by a
-        positive constant to coprime integers (empty for the zero poly),
-        and e padded with zeros to four variables."""
-        if self._integer_terms is None:
-            if self.nvars > 4:
-                raise ValueError("the integer form supports at most 4 variables")
-            pad = (0,) * (4 - self.nvars)
-            self._integer_terms = tuple(
-                (c, e + pad, self.degree - sum(e))
-                for c, e in zip(clear_denominators(self.terms.values()), self.terms)
-            )
-        return self._integer_terms
+    def terms(self) -> dict[tuple, Fraction]:
+        """Exponent tuple -> Fraction coefficient: each integer
+        coefficient divided by `integer_scale`."""
+        if self._terms is None:
+            k, n = self.integer_scale, self.nvars
+            self._terms = {e[:n]: c / k for c, e, _ in self.integer_terms}
+        return self._terms
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SparsePoly)
             and self.nvars == other.nvars
-            and self.terms == other.terms
+            and self.integer_scale == other.integer_scale
+            and set(self.integer_terms) == set(other.integer_terms)
         )
 
     def __hash__(self) -> int:
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self.integer_scale, frozenset(self.integer_terms)))
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -448,20 +468,36 @@ def poly2(terms: Mapping[tuple, object]) -> SparsePoly:
 # ---------------------------------------------------------------------------
 
 class UniPoly:
-    """Univariate polynomial, coefficients lowest degree first.
+    """Univariate polynomial, stored as its primitive integer form (see
+    Representations in the module docstring).
 
-    Canonical form strips trailing zeros, so the leading coefficient is
-    nonzero unless the polynomial is zero (empty coefficient list).
+    The Fraction coefficients `coeffs`, lowest degree first, are derived
+    on first read and cached; the leading one is nonzero unless the
+    polynomial is zero (empty coefficient list).
     """
 
-    __slots__ = ("coeffs", "_integer_coeffs")
+    __slots__ = ("integer_coeffs", "integer_scale", "_coeffs")
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [rat(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+        m, nums = common_denominator([rat(c) for c in coeffs])
+        self._store(nums, m)
+
+    @classmethod
+    def from_integers(cls, coeffs: Iterable[int], den) -> "UniPoly":
+        """sum_i coeffs[i] * t^i / den, for ints and a positive rational
+        `den`."""
+        out = cls.__new__(cls)
+        out._store(coeffs, den)
+        return out
+
+    def _store(self, coeffs: Iterable[int], den) -> None:
+        cs = list(coeffs)
+        while cs and not cs[-1]:
             cs.pop()
-        self.coeffs = tuple(cs)
-        self._integer_coeffs = None
+        g = math.gcd(*cs)
+        self.integer_coeffs = tuple(c // g for c in cs)
+        self.integer_scale = Fraction(den, g) if cs else ONE
+        self._coeffs = None
 
     @classmethod
     def zero(cls) -> "UniPoly":
@@ -479,18 +515,31 @@ class UniPoly:
         return out
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Fraction coefficients, lowest degree first: each integer
+        coefficient divided by `integer_scale`."""
+        if self._coeffs is None:
+            k = self.integer_scale
+            self._coeffs = tuple(c / k for c in self.integer_coeffs)
+        return self._coeffs
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.integer_coeffs) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.integer_coeffs
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, UniPoly) and self.coeffs == other.coeffs
+        return (
+            isinstance(other, UniPoly)
+            and self.integer_coeffs == other.integer_coeffs
+            and self.integer_scale == other.integer_scale
+        )
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.integer_coeffs, self.integer_scale))
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -507,14 +556,6 @@ class UniPoly:
             else:
                 bits.append(f"{c}*t^{e}")
         return f"UniPoly({' + '.join(bits)})"
-
-    @property
-    def integer_coeffs(self) -> tuple[int, ...]:
-        """The coefficients scaled by a positive constant to coprime
-        integers (empty for the zero polynomial)."""
-        if self._integer_coeffs is None:
-            self._integer_coeffs = clear_denominators(self.coeffs)
-        return self._integer_coeffs
 
     def eval(self, x) -> Fraction:
         x = rat(x)
@@ -564,26 +605,6 @@ def _sign_at(cs: Sequence[int], x) -> int:
     return (total > 0) - (total < 0)
 
 
-def _monic(cs: Sequence[int]) -> UniPoly:
-    """The monic rational polynomial of a nonzero integer one."""
-    return UniPoly(Fraction(c, cs[-1]) for c in cs)
-
-
-def gcd_uni(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic gcd over Q (the zero polynomial is absorbing)."""
-    if a.is_zero or b.is_zero:
-        other = b if a.is_zero else a
-        return other if other.is_zero else _monic(other.integer_coeffs)
-    return _monic(_gcd_z(a.integer_coeffs, b.integer_coeffs))
-
-
-def square_free_part(f: UniPoly) -> UniPoly:
-    """f with all root multiplicities reduced to one (monic)."""
-    if f.is_zero:
-        raise ZeroPolynomialError("square-free part of the zero polynomial")
-    return _monic(_square_free(f.integer_coeffs))
-
-
 # ---------------------------------------------------------------------------
 # Affine substitution: restrictions, shifts and shears
 # ---------------------------------------------------------------------------
@@ -599,8 +620,10 @@ def restrict_to_line(p: SparsePoly, ln) -> UniPoly:
         raise ValueError("line direction must be nonzero")
     if p.nvars != 4:
         raise ValueError("restriction expects a 4-variable polynomial")
-    coeffs = _substitution(p, ln.base, (ln.direction,))
-    return UniPoly([coeffs.get(k, ZERO) for k in range(max(coeffs, default=-1) + 1)])
+    coeffs, den = _substitution(p, ln.base, (ln.direction,))
+    return UniPoly.from_integers(
+        [coeffs.get(k, 0) for k in range(max(coeffs, default=-1) + 1)], den
+    )
 
 
 def restrict_to_flat2(p: SparsePoly, fl) -> SparsePoly:
@@ -615,28 +638,28 @@ def compose_affine(p: SparsePoly, base, directions) -> SparsePoly:
     polynomial in the parameters t_k (`_substitution` in ints)."""
     stride = p.degree + 1
     k = len(directions)
-    return SparsePoly(k, {
-        tuple(key // stride**j % stride for j in range(k)): c
-        for key, c in _substitution(p, base, directions).items()
-    })
+    coeffs, den = _substitution(p, base, directions)
+    return SparsePoly.from_integers(k, {
+        tuple(key // stride**j % stride for j in range(k)): c for key, c in coeffs.items()
+    }, den)
 
 
-def _substitution(p: SparsePoly, base, directions) -> dict[int, Fraction]:
-    """Nonzero coefficients of p(base + sum_k t_k*directions[k]) for p in
-    at most 4 variables, keyed by the packed exponent sum_k i_k*stride^k
-    of prod t_k^i_k, with stride = deg p + 1.
+def _substitution(p: SparsePoly, base, directions) -> tuple[dict[int, int], Fraction]:
+    """(coeffs, den): p(base + sum_k t_k*directions[k]) is the integer
+    polynomial `coeffs` divided by the positive rational `den`, for p in
+    at most 4 variables.  `coeffs` is keyed by the packed exponent
+    sum_k i_k*stride^k of prod t_k^i_k, with stride = deg p + 1.
 
     Integer arithmetic throughout (see the module docstring): the point
     is cleared to (B + sum_k t_k*U_k) / M, and the sum over the integer
     form of c_e * M^(D-|e|) * prod (B_i + sum_k t_k*U_ki)^e_i is the
-    result times the positive constant M^D * scale, divided out once at
-    the end.
+    result times den = M^D * integer_scale.
     """
     n = p.nvars
     if any(len(v) != n for v in (base, *directions)):
         raise ValueError("base and directions need one coordinate per variable")
     if p.is_zero:
-        return {}
+        return {}, ONE
     terms = p.integer_terms
     m, ints = common_denominator([rat(x) for x in (*base, *(x for d in directions for x in d))])
     steps = [(p.degree + 1) ** k for k in range(len(directions))]
@@ -668,9 +691,7 @@ def _substitution(p: SparsePoly, base, directions) -> dict[int, Fraction]:
     for (e0, e1), acc in groups.items():
         for key, v in _mul_packed(_mul_packed(t0[e0], t1[e1]), acc).items():
             total[key] = total.get(key, 0) + v
-
-    den = m**p.degree * _scale(p)  # M^D * scale, a positive Fraction
-    return {key: v / den for key, v in total.items() if v}
+    return total, m**p.degree * p.integer_scale
 
 
 def _mul_packed(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
@@ -987,32 +1008,26 @@ class IsolatedRoot:
     """One distinct real root of a square-free integer polynomial.
 
     `coeffs` holds the polynomial (primitive, lowest degree first).
-    Either `value` is set (the root is the exact rational `value`) or
+    Either lo == hi and the root is that exact rational, or
     `lo < root < hi` with the polynomial nonzero of opposite signs at lo
-    and hi; `lo_sign` carries the sign at lo, so no step re-evaluates it.
+    and hi; `lo_sign` carries the sign at lo (0 for an exact root), so no
+    step re-evaluates it.
     """
 
     coeffs: tuple[int, ...]
     lo: Fraction
     hi: Fraction
     lo_sign: int = field(compare=False)
-    value: Fraction | None = None
 
     @property
     def is_exact(self) -> bool:
-        return self.value is not None
-
-    def lower(self) -> Fraction:
-        return self.value if self.is_exact else self.lo
-
-    def upper(self) -> Fraction:
-        return self.value if self.is_exact else self.hi
+        return self.lo == self.hi
 
     def compare_to(self, c) -> int:
         """-1, 0, +1 for root <, =, > the rational c."""
         c = rat(c)
         if self.is_exact:
-            return sign(self.value - c)
+            return sign(self.lo - c)
         if c <= self.lo:
             return 1
         if c >= self.hi:
@@ -1029,7 +1044,7 @@ class IsolatedRoot:
         mid = (self.lo + self.hi) / 2
         s = _sign_at(self.coeffs, mid)
         if s == 0:
-            return IsolatedRoot(self.coeffs, mid, mid, 0, mid)
+            return IsolatedRoot(self.coeffs, mid, mid, 0)
         if s == self.lo_sign:
             return IsolatedRoot(self.coeffs, mid, self.hi, s)
         return IsolatedRoot(self.coeffs, self.lo, mid, self.lo_sign)
@@ -1039,7 +1054,7 @@ def _separate(roots: list[IsolatedRoot]) -> list[IsolatedRoot]:
     """Refine sorted roots until consecutive intervals leave a gap."""
     for i in range(len(roots) - 1):
         a, b = roots[i], roots[i + 1]
-        while not a.upper() < b.lower():
+        while not a.hi < b.lo:
             a, b = a.refined(), b.refined()
         roots[i], roots[i + 1] = a, b
     return roots
@@ -1056,29 +1071,10 @@ def isolate_real_roots(f: UniPoly) -> list[IsolatedRoot]:
     cs = _square_free(f.integer_coeffs)
     if len(cs) <= 1:
         return []
+    # An exact root has lo == hi, where the sign is 0.
     return _separate([
-        IsolatedRoot(cs, lo, lo, 0, lo) if lo == hi else IsolatedRoot(cs, lo, hi, _sign_at(cs, lo))
-        for lo, hi in _real_root_intervals(cs)
+        IsolatedRoot(cs, lo, hi, _sign_at(cs, lo)) for lo, hi in _real_root_intervals(cs)
     ])
-
-
-def sturm_root_count(f: UniPoly, lo=None, hi=None) -> int:
-    """Number of distinct real roots of f in (lo, hi].
-
-    `lo=None` / `hi=None` stand for -infinity / +infinity; with both
-    infinite this is the total number of distinct real roots.  Works for
-    arbitrary nonzero f (multiplicities are collapsed via the square-free
-    part); raises ZeroPolynomialError for the zero polynomial.
-    """
-    if f.is_zero:
-        raise ZeroPolynomialError("root counting needs a nonzero polynomial")
-    if lo is not None and hi is not None and rat(lo) > rat(hi):
-        raise ValueError("empty interval: lo > hi")
-    return sum(
-        1
-        for r in isolate_real_roots(f)
-        if (lo is None or r.compare_to(lo) > 0) and (hi is None or r.compare_to(hi) <= 0)
-    )
 
 
 def _compare(a: IsolatedRoot, b: IsolatedRoot, factor) -> tuple[int, IsolatedRoot, IsolatedRoot]:
@@ -1095,10 +1091,9 @@ def _compare(a: IsolatedRoot, b: IsolatedRoot, factor) -> tuple[int, IsolatedRoo
     checked = False
     while True:
         if a.is_exact:
-            c = sign(a.value - b.value) if b.is_exact else -b.compare_to(a.value)
-            return c, a, b
+            return -b.compare_to(a.lo), a, b
         if b.is_exact:
-            return a.compare_to(b.value), a, b
+            return a.compare_to(b.lo), a, b
         if a.hi <= b.lo:
             return -1, a, b
         if b.hi <= a.lo:
@@ -1109,12 +1104,6 @@ def _compare(a: IsolatedRoot, b: IsolatedRoot, factor) -> tuple[int, IsolatedRoo
             if h is not None and _sign_at(h, max(a.lo, b.lo)) != _sign_at(h, min(a.hi, b.hi)):
                 return 0, a, b
         a, b = a.refined(), b.refined()
-
-
-def compare_roots(r1: IsolatedRoot, r2: IsolatedRoot) -> int:
-    """-1, 0, +1 ordering of two isolated real roots, possibly of
-    different polynomials (see `_compare`)."""
-    return _compare(r1, r2, lambda: _shared_factor(r1.coeffs, r2.coeffs))[0]
 
 
 def merge_real_roots(root_lists: Sequence[Sequence[IsolatedRoot]]) -> list[IsolatedRoot]:
@@ -1171,14 +1160,14 @@ def sample_points_between_roots(roots: Sequence[IsolatedRoot]) -> list[Fraction]
     """
     if not roots:
         return [ZERO]
-    pts = [roots[0].lower() - (1 if roots[0].is_exact else 0)]
+    pts = [roots[0].lo - (1 if roots[0].is_exact else 0)]
     for left, right in zip(roots, roots[1:]):
-        lo, hi = left.upper(), right.lower()
+        lo, hi = left.hi, right.lo
         if not lo < hi:
             raise AssertionError("isolating intervals must be disjoint")
         pts.append((lo + hi) / 2 if left.is_exact or right.is_exact else lo)
     last = roots[-1]
-    pts.append(last.upper() + (1 if last.is_exact else 0))
+    pts.append(last.hi + (1 if last.is_exact else 0))
     return pts
 
 
@@ -1222,23 +1211,16 @@ def resultant_bivariate(q1: SparsePoly, q2: SparsePoly, eliminate: int) -> UniPo
 
     Conventions: if one input has degree 0 in the eliminated variable it
     is raised to the other's degree; if both do, the result is 1.  The
-    subresultant PRS runs over Z[x] on the primitive integer forms; their
-    scales are divided out once at the end.
+    subresultant PRS runs over Z[x] on the primitive integer forms, and
+    their scales make the result's constant.
     """
     if q1.is_zero or q2.is_zero:
         raise ZeroPolynomialError("resultant needs nonzero polynomials")
     a, b = _coeffs_in(q1, eliminate), _coeffs_in(q2, eliminate)
     if len(a) == 1 and len(b) == 1:
         return UniPoly.constant(1)
-    res = _resultant(a, b)
-    den = _scale(q1) ** (len(b) - 1) * _scale(q2) ** (len(a) - 1)
-    return UniPoly(c / den for c in res.c)
-
-
-def _scale(q: SparsePoly) -> Fraction:
-    """The positive constant that `integer_terms` multiplies q by."""
-    c, e, _ = q.integer_terms[0]
-    return c / q.terms[e[: q.nvars]]
+    den = q1.integer_scale ** (len(b) - 1) * q2.integer_scale ** (len(a) - 1)
+    return UniPoly.from_integers(_resultant(a, b).c, den)
 
 
 def have_common_factor(q1: SparsePoly, q2: SparsePoly) -> bool:

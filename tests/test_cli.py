@@ -154,6 +154,23 @@ def test_log_spaced_s_band():
     assert log_spaced_s(1000) == []
 
 
+def test_log_spaced_s_band_ends_match_brute_force():
+    """The band is [ceil(10*sqrt(L)), L // 10]: checked by stepping a
+    counter up to the ceiling, at 0, perfect squares and their
+    neighbours."""
+    squares = [k * k for k in (1, 2, 10, 99, 100, 101, 317, 1000, 4321)]
+    for L in sorted({0, *range(1, 30)} | {s + d for s in squares for d in (-1, 0, 1)}):
+        lo = 0
+        while lo * lo < 100 * L:
+            lo += 1
+        hi = L // 10
+        values = log_spaced_s(L)
+        if lo > hi:
+            assert values == [], L
+        else:
+            assert (values[0], values[-1]) == (lo, hi), L
+
+
 def test_verify_exit_codes(tmp_path):
     # generic small config: out of regime, strict -> 3, default -> 0
     args = ["verify", "--kind", "generic", "--L", "12", "--S", "6", "--seed", "1",

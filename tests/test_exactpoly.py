@@ -7,14 +7,13 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from incidence4 import exactpoly
 from incidence4.exactpoly import (
     GenericPositionError,
     SparsePoly,
     UniPoly,
     ZeroPolynomialError,
     bezout_point_check,
-    compare_roots,
-    gcd_uni,
     have_common_factor,
     isolate_real_roots,
     merge_real_roots,
@@ -24,8 +23,6 @@ from incidence4.exactpoly import (
     restrict_to_flat2,
     restrict_to_line,
     sample_points_between_roots,
-    square_free_part,
-    sturm_root_count,
 )
 from incidence4.flats import Flat2, Line4
 
@@ -121,32 +118,45 @@ class TestRestriction:
         assert f.eval(t0) == direct
 
 
+def roots_in(f: UniPoly, lo, hi) -> int:
+    """Distinct real roots of f in (lo, hi], from the isolating intervals."""
+    return sum(1 for r in isolate_real_roots(f) if r.compare_to(lo) > 0 >= r.compare_to(hi))
+
+
+def compare(a, b) -> int:
+    """-1, 0, +1 ordering of two isolated roots of possibly different
+    polynomials."""
+    return exactpoly._compare(a, b, lambda: exactpoly._shared_factor(a.coeffs, b.coeffs))[0]
+
+
 class TestSturm:
+    """Distinct real root counts, read off `isolate_real_roots`."""
+
     def test_two_roots(self):
-        assert sturm_root_count(UniPoly((-1, 0, 1)), -2, 2) == 2
+        assert roots_in(UniPoly((-1, 0, 1)), -2, 2) == 2
 
     def test_no_real_roots(self):
-        assert sturm_root_count(UniPoly((1, 0, 1))) == 0
+        assert len(isolate_real_roots(UniPoly((1, 0, 1)))) == 0
 
     def test_multiplicity_collapses(self):
         f = UniPoly.from_roots([1, 1, 3])
-        assert sturm_root_count(f, 0, 4) == 2
+        assert roots_in(f, 0, 4) == 2
 
     def test_half_open_endpoints(self):
         f = UniPoly.from_roots([1])
-        assert sturm_root_count(f, 0, 1) == 1
-        assert sturm_root_count(f, 1, 2) == 0
+        assert roots_in(f, 0, 1) == 1
+        assert roots_in(f, 1, 2) == 0
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ZeroPolynomialError):
-            sturm_root_count(UniPoly.zero())
+            isolate_real_roots(UniPoly.zero())
 
     @given(st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=5))
     @settings(max_examples=60)
     def test_count_at_most_degree(self, roots):
         f = UniPoly.from_roots(roots)
-        assert sturm_root_count(f) <= f.degree
-        assert sturm_root_count(f) == len(set(roots))
+        assert len(isolate_real_roots(f)) <= f.degree
+        assert len(isolate_real_roots(f)) == len(set(roots))
 
 
 class TestIsolation:
@@ -157,7 +167,7 @@ class TestIsolation:
         for r, v in zip(roots, [F(-3), F(1, 2), F(7)]):
             assert r.compare_to(v) == 0
         for a, b in zip(roots, roots[1:]):
-            assert a.upper() < b.lower()
+            assert a.hi < b.lo
 
     def test_samples_interleave(self):
         f = UniPoly.from_roots([-3, F(1, 2), 7])
@@ -206,8 +216,8 @@ class TestIsolation:
         rf = [r for r in isolate_real_roots(f) if r.compare_to(0) > 0]
         rg = [r for r in isolate_real_roots(g) if r.compare_to(0) > 0]
         assert len(rf) == 1 and len(rg) == 2
-        assert compare_roots(rf[0], rg[0]) == 0
-        assert compare_roots(rf[0], rg[1]) == -1
+        assert compare(rf[0], rg[0]) == 0
+        assert compare(rf[0], rg[1]) == -1
 
 
 class TestResultants:
@@ -226,12 +236,13 @@ class TestResultants:
 
     def test_square_free_part(self):
         f = UniPoly.from_roots([1, 1, 2])
-        assert square_free_part(f) == UniPoly.from_roots([1, 2])  # monic
+        want = UniPoly.from_roots([1, 2]).integer_coeffs
+        assert exactpoly._square_free(f.integer_coeffs) == want
 
     def test_gcd(self):
         f = UniPoly.from_roots([1, 4])
         g = UniPoly.from_roots([4, 6])
-        assert gcd_uni(f, g) == UniPoly.from_roots([4])  # monic
+        assert exactpoly._gcd_z(f.integer_coeffs, g.integer_coeffs) == (-4, 1)
 
 
 class TestBezout:

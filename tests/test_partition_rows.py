@@ -112,9 +112,9 @@ def test_dense_coefficients_against_power_products(data, nvars, degree):
     x = data.draw(points(nvars))
     vec = _dense_coefficients(f)
     assert len(vec) == len(monomial_exponents(max(f.degree, 1), nvars)) + 1
-    c, e, _ = f.integer_terms[0]
-    scale = c / f.terms[e[:nvars]]
+    scale = f.integer_scale
     assert scale > 0
+    assert all(c == scale * f.terms[e[:nvars]] for c, e, _ in f.integer_terms)
     lift = power_product_lift(x, monomial_exponents(degree, nvars))
     assert sum(v * w for v, w in zip(vec, lift)) == scale * f.eval(x)
 

@@ -3,14 +3,18 @@
 One integer kernel computes every affine substitution p(base + sum t_k
 dir_k): `restrict_to_line` / `restrict_to_flat2`, the shift back
 p(x - shift) of a bisection factor and the shear q(x + lam*y, y) of the
-Bezout check.  It runs in Python ints on the cached integer form of the
-polynomial and returns exact Fraction coefficients.  The reference is
-`SparsePoly.substitute` with linear axes, which multiplies Fraction
-polynomials.  `UniPoly.sign_at` decides signs by homogeneous Horner on
-the integer coefficients; the reference is the sign of `UniPoly.eval` on
-Fractions.
+Bezout check.  It runs in Python ints on the stored integer form of the
+polynomial and builds its result from integers and one positive
+constant.  The reference is `SparsePoly.substitute` with linear axes,
+which multiplies Fraction polynomials: the two builds must compare and
+hash equal, and both must be stored as a primitive integer form whose
+derived Fraction view builds the same polynomial back.  No production
+path reads a Fraction view.  `UniPoly.sign_at` decides signs by
+homogeneous Horner on the integer coefficients; the reference is the
+sign of `UniPoly.eval` on Fractions.
 """
 
+import math
 import random
 from fractions import Fraction as F
 from types import SimpleNamespace
@@ -28,10 +32,14 @@ from incidence4.exactpoly import (
     restrict_to_line,
     sign,
 )
+from incidence4.flats import Flat2, Line4
 from incidence4.partition import (
     FlatInZeroSetError,
     LineInZeroSetError,
+    PartitionParams,
     PartitionPolynomial,
+    assign_cells,
+    build_partition,
     cell_id,
     default_cap,
     flat2_crossing_stats,
@@ -77,6 +85,33 @@ def substitute_flat(p, base, u, v):
     return p.substitute(axes)
 
 
+def check_form(f) -> None:
+    """f is stored as coprime ints and a positive scale (1 for the zero
+    polynomial), and its Fraction view builds f back."""
+    if isinstance(f, UniPoly):
+        ints = f.integer_coeffs
+        assert not ints or ints[-1] != 0
+        assert tuple(c * f.integer_scale for c in f.coeffs) == ints
+        back = UniPoly(f.coeffs)
+    else:
+        ints = [c for c, _, _ in f.integer_terms]
+        for c, e, rest in f.integer_terms:
+            assert c == f.terms[e[: f.nvars]] * f.integer_scale
+            assert rest == f.degree - sum(e)
+        back = SparsePoly(f.nvars, f.terms)
+    assert math.gcd(*ints) == (1 if ints else 0)
+    assert f.integer_scale > 0 and (ints or f.integer_scale == 1)
+    assert back == f and hash(back) == hash(f)
+
+
+def assert_same(got, want) -> None:
+    """A kernel build equals the Fraction build, hash included, and both
+    have the stored form of `check_form`."""
+    assert got == want and hash(got) == hash(want)
+    check_form(got)
+    check_form(want)
+
+
 def vanishing_form(base, directions, extra):
     """n.(x - base) with n orthogonal to `directions` (Gram-Schmidt on
     `extra`), so the form vanishes on the line or flat; None if n = 0."""
@@ -104,21 +139,23 @@ def vanishing_form(base, directions, extra):
 @given(p=polys(4), base=vectors, direction=nonzero_vectors)
 def test_line_matches_substitute(p, base, direction):
     ln = SimpleNamespace(base=base, direction=direction)
-    assert restrict_to_line(p, ln) == substitute_line(p, base, direction)
+    assert_same(restrict_to_line(p, ln), substitute_line(p, base, direction))
 
 
 @ORACLE
 @given(p=polys(4), base=vectors, u=vectors, v=vectors)
 def test_flat_matches_substitute(p, base, u, v):
     fl = SimpleNamespace(base=base, u=u, v=v)
-    assert restrict_to_flat2(p, fl) == substitute_flat(p, base, u, v)
+    assert_same(restrict_to_flat2(p, fl), substitute_flat(p, base, u, v))
 
 
 @given(base=vectors, direction=nonzero_vectors, u=vectors, v=vectors)
 def test_zero_poly_restricts_to_zero(base, direction, u, v):
     zero = SparsePoly.zero(4)
-    assert restrict_to_line(zero, SimpleNamespace(base=base, direction=direction)).is_zero
-    assert restrict_to_flat2(zero, SimpleNamespace(base=base, u=u, v=v)).is_zero
+    ln = SimpleNamespace(base=base, direction=direction)
+    fl = SimpleNamespace(base=base, u=u, v=v)
+    assert_same(restrict_to_line(zero, ln), UniPoly.zero())
+    assert_same(restrict_to_flat2(zero, fl), SparsePoly.zero(2))
 
 
 @ORACLE
@@ -129,7 +166,7 @@ def test_factor_vanishing_on_line(q, base, direction, extra):
     form = vanishing_form(base, [direction], extra)
     assume(form is not None and not q.is_zero)
     ln = SimpleNamespace(base=base, direction=direction)
-    assert restrict_to_line(q * form, ln).is_zero
+    assert_same(restrict_to_line(q * form, ln), UniPoly.zero())
     with pytest.raises(LineInZeroSetError):
         line_crossing_stats(ln, PartitionPolynomial((q, q * form)))
 
@@ -142,7 +179,7 @@ def test_factor_vanishing_on_flat(q, base, u, v, extra):
     form = vanishing_form(base, [u, v], extra)
     assume(form is not None and not q.is_zero)
     fl = SimpleNamespace(base=base, u=u, v=v)
-    assert restrict_to_flat2(q * form, fl).is_zero
+    assert_same(restrict_to_flat2(q * form, fl), SparsePoly.zero(2))
     with pytest.raises(FlatInZeroSetError):
         flat2_crossing_stats(fl, PartitionPolynomial((q, q * form)))
 
@@ -166,7 +203,7 @@ def test_shift_matches_substitute(data, nvars, fractional):
     axes = [
         SparsePoly(nvars, {(0,) * nvars: -F(mu), e: 1}) for mu, e in zip(shift, unit_axes(nvars))
     ]
-    assert compose_affine(p, [-F(mu) for mu in shift], unit_axes(nvars)) == p.substitute(axes)
+    assert_same(compose_affine(p, [-F(mu) for mu in shift], unit_axes(nvars)), p.substitute(axes))
 
 
 @ORACLE
@@ -175,7 +212,7 @@ def test_shear_matches_substitute(q, lam):
     """The Bezout shear q(x + lam*y, y)."""
     x, y = SparsePoly.variable(2, 0), SparsePoly.variable(2, 1)
     reference = q.substitute([x + y.scale(lam), y])
-    assert compose_affine(q, (0, 0), ((1, 0), (lam, 1))) == reference
+    assert_same(compose_affine(q, (0, 0), ((1, 0), (lam, 1))), reference)
 
 
 def test_no_fraction_substitution_on_production_paths(monkeypatch):
@@ -200,6 +237,43 @@ def test_no_fraction_substitution_on_production_paths(monkeypatch):
     xy1 = poly2({(1, 1): 1, (0, 0): -1})
     diagonal = poly2({(1, 0): 1, (0, 1): -1})
     assert bezout_point_check(xy1, diagonal) == (False, 2)
+
+
+def _forbidden(_self):
+    raise AssertionError("a Fraction view was read")
+
+
+def test_production_paths_read_no_fraction_view(monkeypatch):
+    """A partition build, cell assignment and both crossing statistics
+    run on the stored integer forms alone, with the same answers."""
+    rng = random.Random(11)
+    pts = [tuple(rng.randint(-40, 40) for _ in range(4)) for _ in range(48)]
+    lines = [
+        Line4(tuple(rng.randint(-9, 9) for _ in range(4)), (1, rng.randint(-5, 5), 2, F(1, 3)))
+        for _ in range(4)
+    ]
+    flats = [
+        Flat2(
+            tuple(F(rng.randint(-9, 9), 2) for _ in range(4)),
+            (1, 0, rng.randint(-3, 3), 1),
+            (0, 1, 1, rng.randint(-3, 3)),
+        )
+        for _ in range(3)
+    ]
+
+    def run():
+        part = build_partition(pts, PartitionParams(rounds=2, delta=F(1, 10)), seed=3)
+        return (
+            part,
+            assign_cells(pts, part),
+            [line_crossing_stats(ln, part) for ln in lines],
+            [flat2_crossing_stats(fl, part, sample_budget=32) for fl in flats],
+        )
+
+    want = run()
+    monkeypatch.setattr(SparsePoly, "terms", property(_forbidden))
+    monkeypatch.setattr(UniPoly, "coeffs", property(_forbidden))
+    assert run() == want
 
 
 def test_mixed_denominators_by_hand():
@@ -243,5 +317,8 @@ def test_integer_coeffs_primitive_and_positive():
     g = UniPoly((F(3, 2), F(-3, 4), F(9, 8)))
     # 8 * (3/2, -3/4, 9/8) = (12, -6, 9), divided by their gcd 3
     assert g.integer_coeffs == (4, -2, 3)
+    assert g.integer_scale == F(8, 3)
+    assert UniPoly.from_integers((12, -6, 9, 0), 8) == g
     assert UniPoly((F(-2), F(-4))).integer_coeffs == (-1, -2)
     assert UniPoly.zero().integer_coeffs == ()
+    assert UniPoly.zero().integer_scale == 1

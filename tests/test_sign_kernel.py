@@ -2,7 +2,7 @@
 
 `exactpoly.sign_vectors` decides the sign of each polynomial at each point
 in Python ints: every point is cleared to P/m and lifted once, and each
-sign is a dot product with the cached primitive integer form of the
+sign is a dot product with the stored primitive integer form of the
 polynomial; `sign_vector` is its one-point call.  The reference is the
 direct way: the sign of `SparsePoly.eval` on Fractions.  Hypothesis draws
 4- and 2-variable polynomials with Fraction coefficients, points of int,
@@ -92,7 +92,10 @@ def test_integer_form_is_primitive_and_positive():
         (3, (0, 2, 0, 0), 0),
         (4, (0, 0, 0, 0), 2),
     ]
+    assert p.integer_scale == F(8, 3)
+    assert SparsePoly.from_integers(2, {(1, 0): -6, (0, 2): 9, (0, 0): 12}, 8) == p
     assert SparsePoly.zero(4).integer_terms == ()
+    assert SparsePoly.zero(4).integer_scale == 1
 
 
 def test_dimension_mismatch_rejected():

@@ -1,11 +1,12 @@
 """The integer univariate core against sympy, and its exact fallbacks.
 
 `isolate_real_roots` isolates by Descartes bisection on integer
-coefficients; `merge_real_roots` / `compare_roots` and the square-free
-part skip every gcd when a mod-p certificate holds.  The oracles are
-sympy's Sturm counts, gcds and resultants.  The fallback tests build
-inputs on which each certificate must fail, and check that the exact
-subresultant gcd ran and that the answer is still right.
+coefficients; `merge_real_roots` / `_compare` and the square-free part
+`_square_free` skip every gcd when a mod-p certificate holds.  The
+oracles are sympy's Sturm counts, gcds, square-free parts and
+resultants.  The fallback tests build inputs on which each certificate
+must fail, and check that the exact subresultant gcd ran and that the
+answer is still right.
 """
 
 from fractions import Fraction as F
@@ -17,14 +18,10 @@ from incidence4 import exactpoly
 from incidence4.exactpoly import (
     CERTIFICATE_PRIME as P,
     UniPoly,
-    compare_roots,
-    gcd_uni,
     isolate_real_roots,
     merge_real_roots,
     poly2,
     resultant_bivariate,
-    square_free_part,
-    sturm_root_count,
 )
 
 sp = pytest.importorskip("sympy")
@@ -52,6 +49,17 @@ def to_sympy(f: UniPoly):
     return sp.Poly([sp.Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)], x)
 
 
+def int_to_sympy(cs):
+    """The sympy polynomial of integer coefficients, lowest degree first."""
+    return sp.Poly(list(reversed(cs)), x)
+
+
+def compare(a, b) -> int:
+    """-1, 0, +1 ordering of two isolated roots of possibly different
+    polynomials."""
+    return exactpoly._compare(a, b, lambda: exactpoly._shared_factor(a.coeffs, b.coeffs))[0]
+
+
 def rational(c: F):
     return sp.Rational(c.numerator, c.denominator)
 
@@ -66,14 +74,15 @@ def check_isolation(roots, poly) -> None:
     assert len(roots) == poly.count_roots()
     for k, r in enumerate(roots):
         if r.is_exact:
-            assert poly.eval(rational(r.value)) == 0
-            assert poly.count_roots(None, rational(r.value)) == k + 1
+            assert r.lo_sign == 0
+            assert poly.eval(rational(r.lo)) == 0
+            assert poly.count_roots(None, rational(r.lo)) == k + 1
         else:
             assert r.lo < r.hi
             assert poly.count_roots(None, rational(r.lo)) == k
             assert poly.count_roots(None, rational(r.hi)) == k + 1
     for a, b in zip(roots, roots[1:]):
-        assert a.upper() < b.lower()
+        assert a.hi < b.lo
 
 
 @ORACLE
@@ -82,21 +91,20 @@ def test_isolation_matches_sympy(f):
     if f.degree == 0:
         assert isolate_real_roots(f) == []
         return
-    poly = to_sympy(f)
-    check_isolation(isolate_real_roots(f), poly)
-    assert sturm_root_count(f) == poly.count_roots()
+    check_isolation(isolate_real_roots(f), to_sympy(f))
 
 
 @ORACLE
 @given(f=unipolys(), lo=small_ints, width=st.integers(0, 12))
 def test_half_open_count_matches_sympy(f, lo, width):
     hi = lo + width
+    got = sum(1 for r in isolate_real_roots(f) if r.compare_to(lo) > 0 >= r.compare_to(hi))
     if f.degree == 0:
-        assert sturm_root_count(f, lo, hi) == 0
+        assert got == 0
         return
     poly = to_sympy(f)
     want = poly.count_roots(lo, hi) - (poly.eval(lo) == 0)
-    assert sturm_root_count(f, lo, hi) == want
+    assert got == want
 
 
 @ORACLE
@@ -116,13 +124,15 @@ def test_merge_matches_sympy(fs):
 def test_gcd_matches_sympy(f, g, h):
     a, b = f * h, g * h
     want = sp.Poly(sp.gcd(to_sympy(a), to_sympy(b)), x).monic()
-    assert same(to_sympy(gcd_uni(a, b)), want)
+    got = exactpoly._gcd_z(a.integer_coeffs, b.integer_coeffs)
+    assert same(int_to_sympy(got).monic(), want)
 
 
 @ORACLE
 @given(f=unipolys())
 def test_square_free_part_matches_sympy(f):
-    assert same(to_sympy(square_free_part(f)), to_sympy(f).sqf_part().monic())
+    got = exactpoly._square_free(f.integer_coeffs)
+    assert same(int_to_sympy(got).monic(), to_sympy(f).sqf_part().monic())
 
 
 bi_coefficients = st.fractions(min_value=-6, max_value=6, max_denominator=4).filter(bool)
@@ -162,6 +172,8 @@ def test_resultant_matches_sympy(q1, q2, eliminate):
     for some pairs of odd degrees, e.g. Res_y(y + 1, y^3)."""
     var = (x, y)[eliminate]
     got = resultant_bivariate(q1, q2, eliminate)
+    back = UniPoly(got.coeffs)
+    assert back == got and hash(back) == hash(got)
     got = sum(rational(c) * (y, x)[eliminate] ** i for i, c in enumerate(got.coeffs))
     a, b = bi_to_sympy(q1), bi_to_sympy(q2)
     assert sp.expand(got - sylvester_minor(a, b, var, 0)) == 0
@@ -181,8 +193,8 @@ def test_psc1_matches_sylvester_determinant(q1, q2):
     got = next((p.c for m, p in chain if len(m) == 2), ())
     got = sum(c * x**i for i, c in enumerate(got))
     # the chain runs on the primitive integer forms
-    a = sp.expand(bi_to_sympy(q1) * rational(exactpoly._scale(q1)))
-    b = sp.expand(bi_to_sympy(q2) * rational(exactpoly._scale(q2)))
+    a = sp.expand(bi_to_sympy(q1) * rational(q1.integer_scale))
+    b = sp.expand(bi_to_sympy(q2) * rational(q2.integer_scale))
     want = sylvester_minor(a, b, y, 1)
     assert sp.expand(got - want) == 0 or sp.expand(got + want) == 0
 
@@ -211,7 +223,6 @@ def test_repeated_roots_take_the_fallback(gcd_calls):
     assert gcd_calls
     assert [r.compare_to(v) for r, v in zip(roots, [F(1, 2), 1, 3])] == [0, 0, 0]
     assert len(roots) == 3
-    assert sturm_root_count(f) == 3
 
 
 def test_leading_coefficient_divisible_by_the_prime(gcd_calls):
@@ -228,8 +239,8 @@ def test_lc_multiple_of_prime_in_a_coprime_pair(gcd_calls):
     assert exactpoly._shared_factor(f.integer_coeffs, g.integer_coeffs) is None
     assert gcd_calls
     [rf], [rg] = isolate_real_roots(f), isolate_real_roots(g)
-    assert compare_roots(rf, rg) == -1
-    assert compare_roots(rg, rf) == 1
+    assert compare(rf, rg) == -1
+    assert compare(rg, rf) == 1
 
 
 def test_coprime_over_q_but_not_mod_p(gcd_calls):
@@ -250,4 +261,4 @@ def test_shared_irrational_root_collapses(gcd_calls):
     check_isolation(merged, to_sympy(g))
     rf = isolate_real_roots(f)
     rg = isolate_real_roots(g)
-    assert [compare_roots(rf[1], r) for r in rg] == [1, 1, 0, -1]
+    assert [compare(rf[1], r) for r in rg] == [1, 1, 0, -1]
