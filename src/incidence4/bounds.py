@@ -167,7 +167,7 @@ def interval_power(value, expo) -> RationalInterval:
     if iv.lo < 0:
         raise DomainError("interval power needs a nonnegative interval")
     lo_pow = rational_power(iv.lo, expo)
-    hi_pow = rational_power(iv.hi, expo)
+    hi_pow = lo_pow if iv.hi == iv.lo else rational_power(iv.hi, expo)
     if expo >= 0:
         return RationalInterval(lo_pow.lo, hi_pow.hi)
     return RationalInterval(hi_pow.lo, lo_pow.hi)

@@ -663,12 +663,13 @@ def _substitution(p: SparsePoly, base, directions) -> tuple[dict[int, int], Frac
     terms = p.integer_terms
     m, ints = common_denominator([rat(x) for x in (*base, *(x for d in directions for x in d))])
     steps = [(p.degree + 1) ** k for k in range(len(directions))]
+    tops = [max(col) for col in zip(*(e for _, e, _ in terms))]
     tables = []
     for i in range(n):
         # B_i at key 0, then each direction's U_ki at its parameter's key
         form = {key: v for key, v in zip((0, *steps), ints[i::n]) if v}
         powers = [{0: 1}]
-        for _ in range(max(e[i] for _, e, _ in terms)):
+        for _ in range(tops[i]):
             powers.append(_mul_packed(powers[-1], form))
         tables.append(powers)
     # Padded variables only ever meet exponent 0.

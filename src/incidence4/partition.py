@@ -11,9 +11,9 @@ at a point comes from the sign kernel of `exactpoly`.  A build lifts
 each point once, at the schedule's top degree, and certifies each
 candidate on those rows; cell assignment and the sign vectors sampled
 on a 2-flat lift their point sets once per call.  Every template of the
-search, from a unit, random, Newton or anchored direction, goes through
-one threshold sweep, and a certified factor is moved back to the input
-coordinates by the integer substitution kernel
+search, from a unit, Newton or anchored direction, goes through one
+integer threshold sweep, and a certified factor is moved back to the
+input coordinates by the integer substitution kernel
 (`exactpoly.compose_affine`); no Fraction polynomial product runs.
 
 Cells are sign vectors of the factors rather than true connected
@@ -28,7 +28,6 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 import numpy as np
 
@@ -165,59 +164,44 @@ def default_cap(size: int, delta: Fraction) -> int:
     return math.ceil(Fraction(size) * (1 + delta) / 2)
 
 
-def _poly_from_weights(weights, exps) -> SparsePoly:
-    terms = {(0, 0, 0, 0): weights[0]}
-    for w, e in zip(weights[1:], exps):
-        terms[e] = w
-    return SparsePoly(4, terms)
-
-
-def _feasible_interval(scores: list, cap: int):
-    s = sorted(scores)
-    n = len(s)
-    lo = s[n - 1 - cap] if n > cap else None
-    hi = s[cap] if n > cap else None
-    return lo, hi
-
-
-def _try_sweep(columns_per_set, caps, exps, weights_template):
+def _try_sweep(columns_per_set, caps, exps, template):
     """Threshold sweep along one lifted direction: feasible iff the
-    per-set acceptable threshold intervals intersect.  Split counts are
-    re-checked from the score columns before the candidate is built."""
-    lo_all, hi_all = None, None
+    per-set acceptable threshold intervals intersect.  The cut is kept
+    doubled (c2 = 2c), so int scores are compared in ints.  Split counts
+    are re-checked from the score columns before the candidate
+    template . x - c2/2 is built."""
+    lo_all = hi_all = None
     for scores, cap in zip(columns_per_set, caps):
-        if not scores:
-            continue
-        lo, hi = _feasible_interval(scores, cap)
-        if lo is not None and (lo_all is None or lo > lo_all):
+        n = len(scores)
+        if n <= cap:
+            continue  # the whole set fits on either side
+        s = sorted(scores)
+        lo, hi = s[n - 1 - cap], s[cap]
+        if lo_all is None or lo > lo_all:
             lo_all = lo
-        if hi is not None and (hi_all is None or hi < hi_all):
+        if hi_all is None or hi < hi_all:
             hi_all = hi
-        if lo_all is not None and hi_all is not None and lo_all > hi_all:
+        if lo_all > hi_all:
             return None
-    if lo_all is None and hi_all is None:
+    if lo_all is None:
         # Every set fits on one side; place the cut below all scores so
         # no point lands on the zero set.
         seen = [s for scores in columns_per_set for s in scores]
-        c = min(seen) - 1 if seen else ZERO
-    elif lo_all is None:
-        c = hi_all - 1
-    elif hi_all is None:
-        c = lo_all + 1
+        c2 = 2 * (min(seen) - 1) if seen else 0
     else:
-        c = Fraction(lo_all + hi_all) / 2
+        c2 = lo_all + hi_all
     total_nonzero = 0
-    total_points = 0
     for scores, cap in zip(columns_per_set, caps):
-        pos = sum(1 for s in scores if s > c)
-        neg = sum(1 for s in scores if s < c)
+        pos = sum(1 for s in scores if 2 * s > c2)
+        neg = sum(1 for s in scores if 2 * s < c2)
         if pos > cap or neg > cap:
             return None
         total_nonzero += pos + neg
-        total_points += len(scores)
-    if total_points > 0 and total_nonzero == 0:
+    if total_nonzero == 0 and any(columns_per_set):
         return None  # degenerate: every point on the zero set
-    return _poly_from_weights([-c] + list(weights_template), exps)
+    terms = {(0, 0, 0, 0): Fraction(-c2, 2)}
+    terms.update(zip(exps, template))
+    return SparsePoly(4, terms)
 
 
 _AXES = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
@@ -235,17 +219,17 @@ def ham_sandwich_bisect(
     For each input set X the returned h satisfies
     |{x in X : h(x) > 0}| <= cap and |{x in X : h(x) < 0}| <= cap, with
     cap = ceil(|X| (1+delta) / 2) unless explicit per-set `caps` tighten
-    it.  Points exactly on Z(h) count toward neither side.
+    it.  Points exactly on Z(h) count toward neither side.  Coordinates
+    are ints or Fractions.
 
     The search runs on points centred at an integer shift.  Each
-    template -- unit and small random directions first, then the
-    rationalised directions of a damped Newton iteration that anchors
-    every set's feasible score band at a common level, and the exact
-    anchor-interpolation directions -- goes through one `sweep_attempt`:
-    a template is swept once, its threshold is certified by exact
-    rational arithmetic on the score columns, and the certified factor is
-    shifted back exactly.  Raises SearchBudgetError when no candidate
-    certifies.
+    template -- unit directions first, then the rationalised directions
+    of a damped Newton iteration that anchors every set's feasible score
+    band at a common level, and the exact anchor-interpolation
+    directions -- goes through one `sweep_attempt`: a template is swept
+    once, its threshold is certified by exact arithmetic on the score
+    columns, and the certified factor is shifted back exactly.  Raises
+    SearchBudgetError when no candidate certifies.
     """
     delta = rat(delta)
     exps = monomial_exponents(degree, 4)
@@ -268,13 +252,7 @@ def ham_sandwich_bisect(
         )
     else:
         shift = (0, 0, 0, 0)
-    def shifted(x, mu):
-        if isinstance(x, int):
-            return x - mu
-        v = rat(x) - mu
-        return int(v) if v.denominator == 1 else v
-
-    zsets = [[tuple(shifted(x, mu) for x, mu in zip(p, shift)) for p in s] for s in sets]
+    zsets = [[tuple(x - mu for x, mu in zip(p, shift)) for p in s] for s in sets]
     lifted_sets = [_lift_rows(s, exps) for s in zsets]
     back = tuple(-mu for mu in shift)
     tried: set[tuple] = set()
@@ -292,13 +270,11 @@ def ham_sandwich_bisect(
         found = _try_sweep(cols, caps, exps, key)
         return None if found is None else compose_affine(found, back, _AXES)
 
-    # Exact threshold sweeps along unit, then small random directions:
-    # enough for small rounds, pointless for many simultaneous sets.
+    # Exact threshold sweeps along unit directions: enough for small
+    # rounds, pointless for many simultaneous sets.
     few_sets = len(sets) <= 6
-    units = ([int(k == j) for k in range(m)] for j in range(m if few_sets else 4))
-    randoms = ([rng.randint(-3, 3) for _ in range(m)] for _ in range(12 if few_sets else 4))
-    for template in chain(units, randoms):
-        found = sweep_attempt(template)
+    for j in range(m if few_sets else 4):
+        found = sweep_attempt([int(k == j) for k in range(m)])
         if found is not None:
             return found
 
@@ -318,6 +294,11 @@ def ham_sandwich_bisect(
     caps_active = [caps[i] for i in active]
     nprng = np.random.default_rng(rng.randrange(2**32))
 
+    band_mid = [
+        (max(0, p.shape[0] - 1 - cap) + min(cap, p.shape[0] - 1)) // 2
+        for p, cap in zip(phi, caps_active)
+    ]
+
     def rationalise(w, c: int) -> Fraction:
         """Lifted coordinate c of the numeric direction w, rounded to 24
         bits and unscaled, as an exact rational."""
@@ -332,10 +313,8 @@ def ham_sandwich_bisect(
         the anchored points land exactly on Z(h)."""
         rows = []
         for i in anchor_sets:
-            p = phi[i]
-            order = np.argsort(p @ w)
-            mid = (max(0, len(order) - 1 - caps_active[i]) + min(caps_active[i], len(order) - 1)) // 2
-            rows.append([Fraction(v) for v in lifted_sets[active[i]][int(order[mid])]])
+            order = np.argsort(phi[i] @ w)
+            rows.append([Fraction(v) for v in lifted_sets[active[i]][int(order[band_mid[i]])]])
         mat, pivots = rref(rows)
         ncols = m + 1
         free = [c for c in range(ncols) if c not in pivots]
@@ -345,11 +324,6 @@ def ham_sandwich_bisect(
         for i, pcol in enumerate(pivots):
             x[pcol] = -sum(mat[i][c] * x[c] for c in free if x[c])
         return sweep_attempt(clear_denominators(x)[1:])
-
-    band_mid = [
-        (max(0, p.shape[0] - 1 - cap) + min(cap, p.shape[0] - 1)) // 2
-        for p, cap in zip(phi, caps_active)
-    ]
 
     # Damped anchored-Newton: pin every set's band-mid order statistic to
     # a common level.  At the fixed point each band straddles the cut, so
@@ -423,6 +397,14 @@ def _open_cells(signs) -> dict[SignVector, int]:
     return Counter(sv for sv in signs if 0 not in sv)
 
 
+def _exact(x):
+    """x as an int when it is integral, otherwise as a Fraction."""
+    if isinstance(x, int):
+        return x
+    v = rat(x)
+    return v.numerator if v.denominator == 1 else v
+
+
 def build_partition(points, params: PartitionParams, seed: int = 0) -> PartitionPolynomial:
     """Iterated ham-sandwich partition of a finite point multiset.
 
@@ -433,7 +415,7 @@ def build_partition(points, params: PartitionParams, seed: int = 0) -> Partition
     sign kernel, at the schedule's top degree, and every candidate is
     signed on those rows, so no Fraction enters the check.
     """
-    pts = [tuple(x if isinstance(x, int) else rat(x) for x in p) for p in points]
+    pts = [tuple(map(_exact, p)) for p in points]
     total = len(pts)
     factors: list[SparsePoly] = []
     signs: list[SignVector] = [() for _ in pts]
