@@ -18,6 +18,13 @@ and each is exact because it only multiplies by positive constants:
                   product of that row with f's integer coefficients is
                   f(P/m) times the positive m^K times the scale; f of
                   degree D < K meets only the row's prefix up to D.
+                  Int points whose lift provably fits a machine word
+                  (max|x|^K < 2^63) are lifted in numpy int64, one
+                  `np.multiply` per monomial, and a dot product runs in
+                  int64 only when max|row| * sum|coefficients| < 2^63,
+                  so no partial sum can overflow; every bound is taken
+                  in Python ints, and every other row or product is
+                  summed in Python ints.  Results leave as Python ints.
   substitution    p(base + sum_k t_k*dir_k) for p in at most 4
                   variables (`_substitution`).  Base and directions are
                   cleared to one denominator M, giving the integer linear
@@ -90,12 +97,15 @@ Four-variable sparse polynomials ("MultiPoly4") and two-variable ones
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from operator import mul
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 Rational = Fraction
 
@@ -112,10 +122,22 @@ class GenericPositionError(RuntimeError):
 
 
 def rat(value) -> Fraction:
-    """Coerce ints, strings like '-7/2', and Fractions to Fraction."""
+    """Coerce ints, strings like '-7/2', and Fractions to Fraction.  Any
+    other integral type (numpy's included) becomes an int first, so no
+    fixed-width integer reaches exact arithmetic."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, numbers.Integral):
+        value = int(value)
     return Fraction(value)
+
+
+def _exact(x):
+    """x as an int when it is integral, otherwise as a Fraction."""
+    if isinstance(x, int):
+        return x
+    v = rat(x)
+    return v.numerator if v.denominator == 1 else v
 
 
 def sign(x: Fraction) -> int:
@@ -386,21 +408,84 @@ def _lift_rows(points, exps) -> list[list]:
     return rows
 
 
-def _homogeneous_rows(points, degree: int) -> list[list[int]]:
+_WORD = 2**63  # int64 holds exactly the integers of absolute value below this
+
+
+def _max_abs(a) -> int:
+    """max |a| of a nonempty int64 array, as a Python int (`np.abs` would
+    wrap -2^63 onto itself)."""
+    return max(-int(a.min()), int(a.max()))
+
+
+def _int_matrix(points, degree: int, offset: int = 0):
+    """The points as an (n, d) int64 matrix when every coordinate is an
+    integer and (max|x| + offset)^degree < 2^63, so that the degree-
+    `degree` lift of the points moved by at most `offset` per coordinate
+    fits a machine word; otherwise None.  numpy makes an int64 array only
+    of integers that fit one (Fractions give an object array, wider ints
+    an object or float one)."""
+    if not points or any(isinstance(v, Fraction) for v in points[0]):
+        return None  # numpy would only build an object array
+    x = np.array(points)
+    if x.dtype != np.int64 or x.ndim != 2:
+        return None
+    if (_max_abs(x) + offset) ** degree >= _WORD:
+        return None
+    return x
+
+
+def _lift_matrix(x, exps):
+    """`_lift_rows` of an int64 point matrix from `_int_matrix`, one
+    `np.multiply` per monomial; each entry is a lift entry, so the
+    bound checked there keeps every product exact."""
+    plan = _lift_plan(exps)
+    cols = np.empty((len(plan) + 1, x.shape[0]), dtype=np.int64)
+    cols[0] = 1
+    xt = x.T
+    for k, (parent, var) in enumerate(plan, start=1):
+        np.multiply(cols[parent], xt[var], out=cols[k])
+    return np.ascontiguousarray(cols.T)
+
+
+def _dots(rows, vec) -> list[int]:
+    """The dot product of each row with the int vector `vec` (a row
+    prefix), as Python ints.  An int64 matrix of rows multiplies in int64
+    when max|row| * sum|vec| < 2^63, which bounds every partial sum;
+    any other rows are summed in Python ints."""
+    if isinstance(rows, np.ndarray):
+        if not len(rows):
+            return []
+        rows = rows[:, : len(vec)]
+        if max(_max_abs(rows), 1) * sum(map(abs, vec)) < _WORD:
+            return (rows @ np.array(vec, dtype=np.int64)).tolist()
+        rows = rows.tolist()
+    return [sum(map(mul, vec, row)) for row in rows]
+
+
+def _homogeneous_rows(points, degree: int):
     """One integer row per point, in the order of
     `_lift_rows(., monomial_exponents(degree, nvars))`: the entry for e is
     m^(degree - |e|) * P^e, with the point cleared to P/m (m > 0).  For
-    an int point m = 1 and the row is its plain lift."""
+    an int point m = 1 and the row is its plain lift.  Int points whose
+    lift fits a machine word give an int64 matrix, any others a list of
+    Python-int rows."""
+    x = _int_matrix(points, degree)
+    if x is not None:
+        return _lift_matrix(x, monomial_exponents(degree, x.shape[1]))
+    if not {type(v) for p in points for v in p} <= {int, Fraction}:
+        points = [tuple(map(_exact, p)) for p in points]  # numpy integers
     cleared = [common_denominator(p) for p in points]
     if not cleared:
         return []
     exps = monomial_exponents(degree, len(cleared[0][1]))
     rows = _lift_rows([nums for _, nums in cleared], exps)
     gaps = [degree] + [degree - sum(e) for e in exps]
+    mpows = {}
     for (m, _), row in zip(cleared, rows):
         if m != 1:
-            mpow = [m**k for k in range(degree + 1)]
-            row[:] = [v * mpow[g] for v, g in zip(row, gaps)]
+            if m not in mpows:
+                mpows[m] = [m**g for g in gaps]
+            row[:] = map(mul, row, mpows[m])
     return rows
 
 
@@ -427,18 +512,13 @@ def _row_signs(f: SparsePoly, rows) -> list[int]:
     """Sign of f at each point whose homogeneous row, of a degree
     K >= deg f, is in `rows`: the dot product is f(P/m) times m^K and
     the positive scale of `integer_terms`."""
-    vec = _dense_coefficients(f)
-    out = []
-    for row in rows:
-        t = sum(map(mul, vec, row))
-        out.append((t > 0) - (t < 0))
-    return out
+    return [(t > 0) - (t < 0) for t in _dots(rows, _dense_coefficients(f))]
 
 
 def sign_vectors(polys: Sequence[SparsePoly], points) -> list[tuple[int, ...]]:
     """Exact sign of each polynomial (at most 4 variables) at each point
-    of int / Fraction coordinates, in Python-int arithmetic: every point
-    is lifted once (see the module docstring)."""
+    of int / Fraction coordinates, in exact integer arithmetic: every
+    point is lifted once (see the module docstring)."""
     points = list(points)
     if not polys:
         return [()] * len(points)

@@ -15,6 +15,11 @@ search, from a unit, Newton or anchored direction, goes through one
 integer threshold sweep, and a certified factor is moved back to the
 input coordinates by the integer substitution kernel
 (`exactpoly.compose_affine`); no Fraction polynomial product runs.
+Int point sets whose shifted lift provably fits a machine word are
+shifted, lifted and scored in numpy int64 by the kernel's word path
+(`_int_matrix`, `_lift_matrix`, `_dots`), and the numeric search reads
+a float copy of those rows; every score reaches the sweep as a Python
+int.
 
 Cells are sign vectors of the factors rather than true connected
 components; sign cells refine components, so per-cell point counts are
@@ -34,8 +39,13 @@ import numpy as np
 from .exactpoly import (
     SparsePoly,
     ZERO,
+    _dots,
+    _exact,
     _homogeneous_rows,
+    _int_matrix,
+    _lift_matrix,
     _lift_rows,
+    _max_abs,
     _row_signs,
     clear_denominators,
     compose_affine,
@@ -204,6 +214,13 @@ def _try_sweep(columns_per_set, caps, exps, template):
     return SparsePoly(4, terms)
 
 
+def _coordinate_max(z) -> float:
+    """max |x| over the coordinates of a point set, as a float."""
+    if isinstance(z, np.ndarray):
+        return float(_max_abs(z))
+    return max(abs(float(x)) for p in z for x in p)
+
+
 _AXES = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
@@ -222,13 +239,15 @@ def ham_sandwich_bisect(
     it.  Points exactly on Z(h) count toward neither side.  Coordinates
     are ints or Fractions.
 
-    The search runs on points centred at an integer shift.  Each
-    template -- unit directions first, then the rationalised directions
-    of a damped Newton iteration that anchors every set's feasible score
-    band at a common level, and the exact anchor-interpolation
-    directions -- goes through one `sweep_attempt`: a template is swept
-    once, its threshold is certified by exact arithmetic on the score
-    columns, and the certified factor is shifted back exactly.  Raises
+    The search runs on points centred at an integer shift; a set is
+    shifted and lifted in int64 when (max|x| + max|shift|)^degree < 2^63
+    and in Python ints otherwise.  Each template -- unit directions
+    first, then the rationalised directions of a damped Newton iteration
+    that anchors every set's feasible score band at a common level, and
+    the exact anchor-interpolation directions -- goes through one
+    `sweep_attempt`: a template is swept once, its threshold is
+    certified by exact arithmetic on the score columns (`_dots`), and
+    the certified factor is shifted back exactly.  Raises
     SearchBudgetError when no candidate certifies.
     """
     delta = rat(delta)
@@ -252,8 +271,18 @@ def ham_sandwich_bisect(
         )
     else:
         shift = (0, 0, 0, 0)
-    zsets = [[tuple(x - mu for x, mu in zip(p, shift)) for p in s] for s in sets]
-    lifted_sets = [_lift_rows(s, exps) for s in zsets]
+    offset = max(map(abs, shift))
+    zsets, lifted_sets = [], []
+    for s in sets:
+        x = _int_matrix(s, degree, offset)
+        if x is None:
+            z = [tuple(_exact(v) - mu for v, mu in zip(p, shift)) for p in s]
+            lifted = _lift_rows(z, exps)
+        else:
+            z = x - np.array(shift, dtype=np.int64)
+            lifted = _lift_matrix(z, exps)
+        zsets.append(z)
+        lifted_sets.append(lifted)
     back = tuple(-mu for mu in shift)
     tried: set[tuple] = set()
 
@@ -265,9 +294,8 @@ def ham_sandwich_bisect(
         if key in tried or not any(key):
             return None
         tried.add(key)
-        nonzero = [(j, t) for j, t in enumerate(key, start=1) if t]
-        cols = [[sum(t * row[j] for j, t in nonzero) for row in rows] for rows in lifted_sets]
-        found = _try_sweep(cols, caps, exps, key)
+        vec = (0,) + key
+        found = _try_sweep([_dots(rows, vec) for rows in lifted_sets], caps, exps, key)
         return None if found is None else compose_affine(found, back, _AXES)
 
     # Exact threshold sweeps along unit directions: enough for small
@@ -282,15 +310,9 @@ def ham_sandwich_bisect(
     active = [i for i, s in enumerate(sets) if len(s) > caps[i]]
     if not active:
         raise SearchBudgetError("sweeps failed on constraint-free input")
-    scale = max(
-        (abs(float(x)) for i in active for p in zsets[i] for x in p), default=1.0
-    )
-    scale = max(scale, 1.0)
+    scale = max(1.0, *(_coordinate_max(zsets[i]) for i in active))
     mono_scale = [1.0] + [scale ** sum(e) for e in exps]
-    phi = [
-        np.array([[float(c) / s for c, s in zip(row, mono_scale)] for row in lifted_sets[i]])
-        for i in active
-    ]
+    phi = [np.array(lifted_sets[i], dtype=np.float64) / mono_scale for i in active]
     caps_active = [caps[i] for i in active]
     nprng = np.random.default_rng(rng.randrange(2**32))
 
@@ -314,7 +336,7 @@ def ham_sandwich_bisect(
         rows = []
         for i in anchor_sets:
             order = np.argsort(phi[i] @ w)
-            rows.append([Fraction(v) for v in lifted_sets[active[i]][int(order[band_mid[i]])]])
+            rows.append([rat(v) for v in lifted_sets[active[i]][int(order[band_mid[i]])]])
         mat, pivots = rref(rows)
         ncols = m + 1
         free = [c for c in range(ncols) if c not in pivots]
@@ -395,14 +417,6 @@ def round_cell_bound(total: int, round_index: int, delta: Fraction) -> int:
 def _open_cells(signs) -> dict[SignVector, int]:
     """Point count per open cell: the sign vectors without a zero."""
     return Counter(sv for sv in signs if 0 not in sv)
-
-
-def _exact(x):
-    """x as an int when it is integral, otherwise as a Fraction."""
-    if isinstance(x, int):
-        return x
-    v = rat(x)
-    return v.numerator if v.denominator == 1 else v
 
 
 def build_partition(points, params: PartitionParams, seed: int = 0) -> PartitionPolynomial:
