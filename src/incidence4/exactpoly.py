@@ -18,7 +18,10 @@ and each is exact because it only multiplies by positive constants:
                   product of that row with f's integer coefficients is
                   f(P/m) times the positive m^K times the scale; f of
                   degree D < K meets only the row's prefix up to D.
-                  Int points whose lift provably fits a machine word
+                  These rows and their dot products are Python ints.
+                  The bisection search's score columns take the word
+                  path (`_int_matrix`, `_lift_matrix`, `_dots`): int
+                  points whose lift provably fits a machine word
                   (max|x|^K < 2^63) are lifted in numpy int64, one
                   `np.multiply` per monomial, and a dot product runs in
                   int64 only when max|row| * sum|coefficients| < 2^63,
@@ -462,16 +465,11 @@ def _dots(rows, vec) -> list[int]:
     return [sum(map(mul, vec, row)) for row in rows]
 
 
-def _homogeneous_rows(points, degree: int):
+def _homogeneous_rows(points, degree: int) -> list[list[int]]:
     """One integer row per point, in the order of
     `_lift_rows(., monomial_exponents(degree, nvars))`: the entry for e is
     m^(degree - |e|) * P^e, with the point cleared to P/m (m > 0).  For
-    an int point m = 1 and the row is its plain lift.  Int points whose
-    lift fits a machine word give an int64 matrix, any others a list of
-    Python-int rows."""
-    x = _int_matrix(points, degree)
-    if x is not None:
-        return _lift_matrix(x, monomial_exponents(degree, x.shape[1]))
+    an int point m = 1 and the row is its plain lift."""
     if not {type(v) for p in points for v in p} <= {int, Fraction}:
         points = [tuple(map(_exact, p)) for p in points]  # numpy integers
     cleared = [common_denominator(p) for p in points]
@@ -517,8 +515,8 @@ def _row_signs(f: SparsePoly, rows) -> list[int]:
 
 def sign_vectors(polys: Sequence[SparsePoly], points) -> list[tuple[int, ...]]:
     """Exact sign of each polynomial (at most 4 variables) at each point
-    of int / Fraction coordinates, in exact integer arithmetic: every
-    point is lifted once (see the module docstring)."""
+    of int / Fraction coordinates, in Python-int arithmetic: every point
+    is lifted once (see the module docstring)."""
     points = list(points)
     if not polys:
         return [()] * len(points)

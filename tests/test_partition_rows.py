@@ -17,7 +17,6 @@ import math
 import random
 from fractions import Fraction as F
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -100,9 +99,6 @@ def test_rows_are_homogenised_lifts(data, nvars, degree):
     exps = monomial_exponents(degree, nvars)
     gaps = [degree] + [degree - sum(e) for e in exps]
     expected = [v * m**g for v, g in zip(power_product_lift(scaled, exps), gaps)]
-    # An int point whose lift fits a machine word gives an int64 row;
-    # its entries read back as Python ints.
-    row = np.asarray(row, dtype=object).tolist()
     assert row == expected
     assert all(type(v) is int for v in row)
 

@@ -1,10 +1,9 @@
 """The integer sign kernel against Fraction evaluation.
 
 `exactpoly.sign_vectors` decides the sign of each polynomial at each point
-in exact integer arithmetic: every point is cleared to P/m and lifted
-once, and each sign is a dot product with the stored primitive integer
-form of the polynomial (in int64 under the word bound, see
-`test_word_kernel.py`); `sign_vector` is its one-point call.  The reference is the
+in Python ints: every point is cleared to P/m and lifted once, and each
+sign is a dot product with the stored primitive integer form of the
+polynomial; `sign_vector` is its one-point call.  The reference is the
 direct way: the sign of `SparsePoly.eval` on Fractions.  Hypothesis draws
 4- and 2-variable polynomials with Fraction coefficients, points of int,
 integral-Fraction and mixed-denominator coordinates, and forces points

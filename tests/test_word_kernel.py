@@ -1,10 +1,11 @@
 """The machine-word path of the sign kernel against Python-int references.
 
-`exactpoly` lifts int points in numpy int64 and multiplies int64 rows by
-integer vectors only under an a-priori bound: max|x|^K < 2^63 for a
-lift, max|row| * sum|vec| < 2^63 for a dot product.  Everything else is
-summed in Python ints.  The oracles here compare `_dots`, `_row_signs`
-and `sign_vectors` with plain Python-int sums (and Fraction evaluation)
+The bisection search lifts int points in numpy int64 and multiplies
+int64 rows by integer vectors only under an a-priori bound: max|x|^K <
+2^63 for a lift, max|row| * sum|vec| < 2^63 for a dot product.
+Everything else is summed in Python ints.  The oracles here compare
+`_dots` and `_row_signs` on int64 rows, and `sign_vectors`, with plain
+Python-int sums (and Fraction evaluation)
 at magnitudes drawn on both sides of those bounds; the forced cases put
 each fallback on a value where int64 arithmetic would wrap.  The last
 tests check that no numpy integer leaves the kernel or the bisection
@@ -25,6 +26,7 @@ from incidence4.exactpoly import (
     _dots,
     _homogeneous_rows,
     _int_matrix,
+    _lift_matrix,
     _lift_rows,
     _max_abs,
     _row_signs,
@@ -96,7 +98,8 @@ def test_signs_near_the_lift_bound(data, nvars, degree):
     """Int points with coordinates around the largest b with b^degree <
     2^63, and integer coefficients up to 2^40: rows that lift in int64 or
     not, products that multiply in int64 or not.  The references are the
-    Python-int lift dotted by hand and the Fraction evaluation."""
+    Python-int lift dotted by hand and the Fraction evaluation; the rows
+    are the int64 lift wherever it fits."""
     b = word_root(degree)
     near = st.integers(-b - 2, b + 2)
     small = st.integers(-3, 3)
@@ -104,8 +107,10 @@ def test_signs_near_the_lift_bound(data, nvars, degree):
     pts = data.draw(st.lists(st.tuples(*[coordinate] * nvars), min_size=1, max_size=4))
     f = data.draw(sparse_polys(nvars, degree, data.draw(st.integers(0, 40))))
     g = data.draw(sparse_polys(nvars, max(1, degree - 1), 3))
-    rows = _homogeneous_rows(pts, degree)
-    python_rows = _lift_rows(pts, monomial_exponents(degree, nvars))
+    exps = monomial_exponents(degree, nvars)
+    x = _int_matrix(pts, degree)
+    rows = _homogeneous_rows(pts, degree) if x is None else _lift_matrix(x, exps)
+    python_rows = _lift_rows(pts, exps)
     vec = exactpoly._dense_coefficients(f)
     assert _dots(rows, vec) == python_dots(python_rows, vec)
     signs = _row_signs(f, rows)
