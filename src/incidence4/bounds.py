@@ -13,9 +13,12 @@ bound behavior outside the regime can be explored deliberately.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from .exactpoly import rat
 
@@ -546,18 +549,25 @@ def eval_zero_set_cases(p: BoundParams, c: ConstantsProfile) -> ZeroSetCases:
 
 @dataclass(frozen=True)
 class TotalAndDominance:
+    """One evaluation of every summand against the main bound.  `parts`
+    is a read-only mapping: evaluations are cached and shared."""
+
     total: BoundResult
     main: BoundResult
     ratio: RationalInterval
-    parts: dict
+    parts: Mapping[str, BoundResult]
     dominance_ok: bool
     max_part_ratio: Fraction
 
 
+@functools.lru_cache(maxsize=256)
 def eval_total_and_dominance(p: BoundParams, c: ConstantsProfile) -> TotalAndDominance:
     """Cell sum + all five surface cases + zero-set sum, against the main
     bound: reports total/main and checks every summand stays within
-    DOMINANCE_CONSTANT times the main bound."""
+    DOMINANCE_CONSTANT times the main bound.
+
+    Memoised on the frozen (params, constants): a run that repeats a
+    parameter set evaluates its bounds once."""
     cells = eval_cell_decomposition(p)
     two = eval_two_surface_cases(p, c)
     three = eval_three_surface_cases(p)
@@ -594,7 +604,9 @@ def eval_total_and_dominance(p: BoundParams, c: ConstantsProfile) -> TotalAndDom
     if not main.hypothesis_satisfied:
         detail_bits.append(main.hypothesis_detail)
     total = BoundResult(total_iv, hyp_ok, "; ".join(detail_bits) or "all side conditions met")
-    return TotalAndDominance(total, main, ratio, parts, dominance_ok, max_ratio)
+    return TotalAndDominance(
+        total, main, ratio, MappingProxyType(parts), dominance_ok, max_ratio
+    )
 
 
 def binomial_truncation_gap(S: int, G2) -> RationalInterval:

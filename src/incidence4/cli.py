@@ -98,11 +98,18 @@ def _experiment_points(cfg: ConfigurationSet, incidences) -> list:
 
 
 def rich_thresholds(n: int, epsilon: Fraction) -> int:
-    """max(2, ceil(n^(1/2+eps))), the non-degeneracy richness threshold."""
-    if n <= 1:
+    """max(2, ceil(n^(1/2+eps))), the non-degeneracy richness threshold.
+
+    With 1/2 + eps = p/q in lowest terms, ceil(n^(p/q)) is the least k
+    with k^q >= n^p: the integer q-th root of n^p, plus one unless it
+    is exact.
+    """
+    expo = Fraction(1, 2) + epsilon
+    if n <= 1 or expo <= 0:
         return 2
-    power = bnd.interval_power(n, Fraction(1, 2) + epsilon)
-    return max(2, math.ceil(power.hi))
+    p, q = expo.numerator, expo.denominator
+    k = bnd.integer_root(n**p, q)
+    return max(2, k if k**q == n**p else k + 1)
 
 
 def _rich_report(cfg: ConfigurationSet, line_threshold: int, plane_threshold: int):

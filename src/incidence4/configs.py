@@ -400,8 +400,33 @@ def config_from_dict(data: dict) -> ConfigurationSet:
     return ConfigurationSet(lines, planes, seed, str(data.get("provenance", "")))
 
 
+def _json_objects(objects) -> str:
+    """A JSON list, at depth 1 of indent=2, of objects whose sorted keys
+    map to vectors of rationals; str() of a rational needs no escaping."""
+    if not objects:
+        return "[]"
+    items = (
+        "    {\n"
+        + ",\n".join(
+            f'      "{key}": [\n        "' + '",\n        "'.join(map(str, v)) + '"\n      ]'
+            for key, v in fields
+        )
+        + "\n    }"
+        for fields in objects
+    )
+    return "[\n" + ",\n".join(items) + "\n  ]"
+
+
 def dumps_config(cfg: ConfigurationSet) -> str:
-    return json.dumps(config_to_dict(cfg), sort_keys=True, indent=2) + "\n"
+    """The bytes of json.dumps(config_to_dict(cfg), sort_keys=True,
+    indent=2) + "\n", rendered directly: the indenting encoder is pure
+    Python, and `ConfigurationSet.digest` hashes this text on every run."""
+    lines = _json_objects([(("d", ln.direction), ("p", ln.base)) for ln in cfg.lines])
+    planes = _json_objects([(("q", pl.base), ("u", pl.u), ("v", pl.v)) for pl in cfg.planes])
+    return (
+        f'{{\n  "lines": {lines},\n  "planes": {planes},\n'
+        f'  "provenance": {json.dumps(cfg.provenance)},\n  "seed": {json.dumps(cfg.seed)}\n}}\n'
+    )
 
 
 def save_config(cfg: ConfigurationSet, destination) -> None:

@@ -1,14 +1,23 @@
 """Exact incidence counting, bipartite graph checks, and rich-flat detection.
 
-This module is the ground truth for every experiment: all L*S line/plane
-pairs are classified exactly (no spatial acceleration), incidences are
-attributed to partition cells or the zero set, and the degree-1
-degeneracy detectors enumerate every coplanar line pair and every
-cohyperplanar plane pair, so planted structures are recovered with
-neither false positives nor false negatives.  The pair predicates run on
-the primitive integer forms each `incidence4.flats` object carries from
-construction; pairs are bucketed by integer keys, and `Flat2` /
-`Hyperplane3` objects are built only for reported results.
+This module is the ground truth for every experiment.  Every pair
+predicate is decided exactly: all L*S line/plane pairs are classified,
+and the degree-1 degeneracy detectors examine every line pair for
+coplanarity and every plane pair for a common hyperplane, so planted
+structures are recovered with neither false positives nor false
+negatives.  Incidences are attributed to partition cells or the zero
+set.
+
+A residue filter runs in front of the exact predicates
+(`incidence4.flats.candidate_*_pairs`).  Each predicate's decisive
+integers are evaluated mod p = 2^31 - 1 in numpy over blocks of pairs;
+a nonzero residue proves the integer nonzero, so that pair is certified
+DISJOINT, skew, or without a common hyperplane.  Only the remaining
+pairs reach the exact Python-int routines on the primitive integer
+forms, in the same row-major order as a full double loop, so records,
+buckets and errors do not depend on the filter.  Pairs are bucketed by
+integer keys, and `Flat2` / `Hyperplane3` objects are built only for
+reported results.
 """
 
 from __future__ import annotations
@@ -21,6 +30,9 @@ from .flats import (
     Hyperplane3,
     IdenticalLinesError,
     IncidenceKind,
+    candidate_cohyperplanar_pairs,
+    candidate_coplanar_pairs,
+    candidate_incident_pairs,
     classify_line_flat2,
     cohyperplanar_key,
     coplanar_key,
@@ -69,17 +81,17 @@ def count_incidences(cfg: ConfigurationSet) -> IncidenceReport:
 
     Pairs meeting in a single point are incidences; a line lying inside
     a plane is a containment, tracked separately and never counted as an
-    incidence.
+    incidence.  Pairs the residue filter certifies DISJOINT are skipped.
     """
     records = []
     containments = 0
-    for i, ln in enumerate(cfg.lines):
-        for j, pl in enumerate(cfg.planes):
-            out = classify_line_flat2(ln, pl)
-            if out.kind is IncidenceKind.POINT:
-                records.append(IncidenceRecord(i, j, out.location))
-            elif out.kind is IncidenceKind.CONTAINED:
-                containments += 1
+    lines, planes = cfg.lines, cfg.planes
+    for i, j in candidate_incident_pairs(lines, planes):
+        out = classify_line_flat2(lines[i], planes[j])
+        if out.kind is IncidenceKind.POINT:
+            records.append(IncidenceRecord(i, j, out.location))
+        elif out.kind is IncidenceKind.CONTAINED:
+            containments += 1
     return IncidenceReport(len(records), containments, tuple(records))
 
 
@@ -223,16 +235,17 @@ class RichFlatRecord:
 def detect_rich_flat2(lines, threshold: int) -> list[RichFlatRecord]:
     """All 2-flats containing at least `threshold` of the lines.
 
-    Enumerates every coplanar line pair; two distinct lines lie in at
-    most one common 2-flat, so bucketing pairs by the integer key of
-    their span recovers each rich flat with its complete member list.
+    Enumerates every coplanar line pair (the residue filter drops pairs
+    it certifies skew); two distinct lines lie in at most one common
+    2-flat, so bucketing pairs by the integer key of their span recovers
+    each rich flat with its complete member list.
     Any two members span the flat, so the first two build its `Flat2`.
     """
     if threshold < 2:
         raise ValueError("a rich flat needs threshold >= 2")
     buckets: dict[tuple[int, ...], set[int]] = {}
     lines = list(lines)
-    for i, j in itertools.combinations(range(len(lines)), 2):
+    for i, j in candidate_coplanar_pairs(lines):
         try:
             key = coplanar_key(lines[i], lines[j])
         except IdenticalLinesError:
@@ -255,13 +268,14 @@ def detect_rich_hyperplane(planes, threshold: int) -> list[RichFlatRecord]:
 
     A pair of distinct 2-planes spans a unique hyperplane exactly when
     the affine hull of their union is 3-dimensional (they meet in a line
-    or are parallel); pairs spanning all of R^4 witness nothing.
+    or are parallel); pairs spanning all of R^4 witness nothing, and the
+    residue filter drops most of them before the exact test.
     """
     if threshold < 2:
         raise ValueError("a rich hyperplane needs threshold >= 2")
     planes = list(planes)
     buckets: dict[tuple[int, ...], set[int]] = {}
-    for i, j in itertools.combinations(range(len(planes)), 2):
+    for i, j in candidate_cohyperplanar_pairs(planes):
         key = cohyperplanar_key(planes[i], planes[j])
         if key is None:
             continue

@@ -19,6 +19,15 @@ The predicates (line/2-flat classification, coplanarity of two lines,
 cohyperplanarity of two 2-flats) are exact Python-int determinants or
 dot products on these forms; `Fraction` appears again only in a
 reported incidence location.
+
+The pair loops reach the predicates through a residue filter
+(`candidate_incident_pairs`, `candidate_coplanar_pairs`,
+`candidate_cohyperplanar_pairs`).  Each predicate's decisive integers
+are bilinear in per-object Pluecker vectors; those are reduced once mod
+p = 2^31 - 1, and numpy evaluates the integers mod p over blocks of
+pairs.  A nonzero residue proves the integer nonzero and so decides the
+pair (DISJOINT, skew, or no common hyperplane); only the other pairs are
+yielded to the exact predicates, which remain the only exact deciders.
 """
 
 from __future__ import annotations
@@ -26,8 +35,11 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .exactpoly import common_denominator, rat
 
@@ -172,6 +184,80 @@ def _minors3(w, p: IntVec) -> IntVec:
         w[0] * p23 - w[2] * p03 + w[3] * p02,
         w[1] * p23 - w[2] * p13 + w[3] * p12,
     )
+
+
+_PAIRS5 = tuple(itertools.combinations(range(5), 2))
+
+
+def _pluecker(a, b) -> IntVec:
+    """The ten 2x2 minors a_s b_t - a_t b_s (s < t) of two 5-vectors."""
+    return tuple(a[s] * b[t] - a[t] * b[s] for s, t in _PAIRS5)
+
+
+# ---------------------------------------------------------------------------
+# Residue filter: pair predicates certified mod p
+# ---------------------------------------------------------------------------
+
+RESIDUE_PRIME = 2**31 - 1
+# Pairs per numpy block: a few hundred kB per temporary at any L and S.
+PAIR_BLOCK = 1 << 16
+# Balanced residues are at most (p - 1)/2 < 2^30, so a product is below
+# 2^60 and a sum of 7 products plus a residue carried in [0, p) stays
+# below 2^63.
+_TERMS_PER_SUM = 7
+
+
+def _residues(rows) -> np.ndarray:
+    """Integer rows reduced once mod p, as balanced int64 residues in
+    [-(p-1)/2, (p-1)/2]."""
+    half = RESIDUE_PRIME // 2
+    return np.array(
+        [[(x + half) % RESIDUE_PRIME - half for x in row] for row in rows], dtype=np.int64
+    )
+
+
+def _zero_mod_p(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Mask of the entries of u @ v that are 0 mod p, for balanced residues
+    u (n, k) and v (k, m).  Floor division by a scalar is several times
+    faster than numpy's remainder, so x mod p is x - (x // p) * p."""
+    p = RESIDUE_PRIME
+    s = u[:, :_TERMS_PER_SUM] @ v[:_TERMS_PER_SUM]
+    for k in range(_TERMS_PER_SUM, u.shape[1], _TERMS_PER_SUM):
+        s -= s // p * p
+        s += u[:, k:k + _TERMS_PER_SUM] @ v[k:k + _TERMS_PER_SUM]
+    return s == s // p * p
+
+
+def _undecided_pairs(forms, triangle: bool) -> Iterator[tuple[int, int]]:
+    """The pairs (i, j) at which every bilinear form u_i . v_j is 0 mod p.
+
+    `forms` is a list of (u, v) residue matrices, u (n, k) over the left
+    objects and v (k, m) over the right ones.  Each u_i . v_j is, mod p,
+    plus or minus one of the predicate's decisive integers, and any
+    nonzero one decides the pair; the others are yielded, in row-major
+    order over all n*m pairs, or over i < j when `triangle`.  Blocks of
+    rows keep each temporary near PAIR_BLOCK entries; a later form is
+    evaluated on a block only while some pair of it is undecided.
+    """
+    n, m = forms[0][0].shape[0], forms[0][1].shape[1]
+    i0 = 0
+    while i0 < n:
+        j0 = i0 + 1 if triangle else 0
+        if j0 >= m:
+            return
+        i1 = min(n, i0 + max(1, PAIR_BLOCK // (m - j0)))
+        u, v = forms[0]
+        zero = _zero_mod_p(u[i0:i1], v[:, j0:])
+        if triangle:
+            # Row i meets columns j0 + c with c >= i - i0, i.e. j > i.
+            zero = np.triu(zero)
+        for u, v in forms[1:]:
+            if not zero.any():
+                break
+            zero &= _zero_mod_p(u[i0:i1], v[:, j0:])
+        rows, cols = np.nonzero(zero)
+        yield from zip((rows + i0).tolist(), (cols + j0).tolist())
+        i0 = i1
 
 
 # ---------------------------------------------------------------------------
@@ -466,3 +552,80 @@ def hyperplane_of_flat2_pair(f1: Flat2, f2: Flat2) -> Hyperplane3 | None:
     affine hull is all of R^4."""
     key = cohyperplanar_key(f1, f2)
     return None if key is None else Hyperplane3(key[:4], key[4])
+
+
+# ---------------------------------------------------------------------------
+# Candidate pairs: the residue filter in front of the exact predicates
+# ---------------------------------------------------------------------------
+
+def _line_pluecker(ln: Line4) -> IntVec:
+    """Pluecker vector of the rows (m | P) and (0 | d) of a line."""
+    d, p, m = ln.integer_form
+    return _pluecker((m, *p), (0, *d))
+
+
+def _equation_pluecker(fl: Flat2) -> IntVec:
+    """Pluecker vector of a 2-flat's equations, as rows (-c_k | N_k)."""
+    (n0, c0), (n1, c1) = fl.equations
+    return _pluecker((-c0, *n0), (-c1, *n1))
+
+
+def candidate_incident_pairs(lines, planes) -> Iterator[tuple[int, int]]:
+    """(i, j), row-major, for every line/2-flat pair that may meet; every
+    other pair is DISJOINT.
+
+    The residue is that of a_0*b_1 - a_1*b_0 of `classify_line_flat2`:
+    by Cauchy-Binet it is the pairing of the flat's equation Pluecker
+    vector with the line's.  Nonzero means DISJOINT.
+    """
+    if not lines or not planes:
+        return iter(())
+    u = _residues([_line_pluecker(ln) for ln in lines])
+    v = _residues([_equation_pluecker(fl) for fl in planes]).T
+    return _undecided_pairs([(u, v)], triangle=False)
+
+
+def candidate_coplanar_pairs(lines) -> Iterator[tuple[int, int]]:
+    """(i, j), i < j in lexicographic order, for every pair of lines that
+    may be coplanar; every other pair is skew.
+
+    The residues are those of the four 3x3 minors of [d1; d2; w] of
+    `coplanar_key`.  A line's Pluecker vector is (g | l) with g = m*d and
+    l_xy = P_x d_y - P_y d_x.  Expanding w = m1*P2 - m2*P1, the minor on
+    columns a < b < c is -(F(1, 2) + F(2, 1)), where
+    F(i, j) = g_a^i l_bc^j - g_b^i l_ac^j + g_c^i l_ab^j: a 6-term
+    pairing of the two vectors.  A nonzero minor means skew.
+    """
+    if len(lines) < 2:
+        return iter(())
+    r = _residues([_line_pluecker(ln) for ln in lines])
+    # Column of l_xy in the Pluecker vector, x < y.
+    col = {pair: 4 + k for k, pair in enumerate(_PAIRS4)}
+    forms = []
+    for a, b, c in itertools.combinations(range(4), 3):
+        cols = [a, b, c, col[b, c], col[a, c], col[a, b]]
+        forms.append((r[:, cols], (r[:, cols[3:] + cols[:3]] * (1, -1, 1, 1, -1, 1)).T))
+    return _undecided_pairs(forms, triangle=True)
+
+
+def candidate_cohyperplanar_pairs(planes) -> Iterator[tuple[int, int]]:
+    """(i, j), i < j in lexicographic order, for every pair of 2-flats that
+    may lie in one hyperplane; every other pair spans R^4.
+
+    The residues are those of the three 2x2 minors of the 2x3 matrix M of
+    `cohyperplanar_key(planes[i], planes[j])`.  M is the product of
+    planes[i]'s equation rows (-c_k | N_k) with planes[j]'s columns
+    (0 | u), (0 | v) and (m | P), so by Cauchy-Binet each minor pairs
+    the equation Pluecker vector with that of two of the columns.  A
+    nonzero minor means no common hyperplane.
+    """
+    if len(planes) < 2:
+        return iter(())
+    left = _residues([_equation_pluecker(fl) for fl in planes])
+    spans = []
+    for fl in planes:
+        u, v, p, m = fl.integer_form
+        h, u, v = (m, *p), (0, *u), (0, *v)
+        spans.append((_pluecker(u, v), _pluecker(u, h), _pluecker(v, h)))
+    forms = [(left, _residues([s[k] for s in spans]).T) for k in range(3)]
+    return _undecided_pairs(forms, triangle=True)

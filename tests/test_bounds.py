@@ -290,6 +290,22 @@ class TestTotalAndDominance:
             assert isinstance(res, BoundResult)
             assert res.hypothesis_satisfied or res.hypothesis_detail
 
+    def test_evaluated_once_per_parameter_set(self):
+        a = eval_total_and_dominance(BoundParams(10**4, 10**3, 2, HALF), C_UNIT)
+        b = eval_total_and_dominance(BoundParams(10**4, 10**3, 2, F(1, 2)), ConstantsProfile())
+        assert a is b
+
+    def test_shared_parts_are_read_only(self):
+        td = eval_total_and_dominance(BoundParams(10**4, 10**3, 2, HALF), C_UNIT)
+        before = dict(td.parts)
+        with pytest.raises(TypeError):
+            td.parts["cell_sum"] = td.main
+        with pytest.raises(TypeError):
+            del td.parts["cell_sum"]
+        with pytest.raises(AttributeError):
+            td.parts.clear()
+        assert dict(td.parts) == before
+
 
 class TestSurfaceLemmaSoundness:
     def test_planted_counts_respect_surface_ceiling(self):

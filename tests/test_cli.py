@@ -1,10 +1,12 @@
 """Command-line harness: subcommands, determinism, exit codes."""
 
 import hashlib
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from incidence4 import bounds
 from incidence4.cli import (
     EXIT_INVARIANT,
     EXIT_OK,
@@ -12,6 +14,7 @@ from incidence4.cli import (
     ExperimentSpec,
     log_spaced_s,
     main,
+    rich_thresholds,
     run_experiment,
 )
 from incidence4.configs import GeneratorKind, GeneratorSpec, load_config
@@ -346,3 +349,30 @@ def test_golden_output_bytes(name, argv, exit_code, golden_configs, capsys):
     assert main(argv + ["--out", "-"]) == exit_code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[name]
+
+
+@pytest.mark.parametrize("epsilon", ["1/10", "1/4", "1/3", "3/7", "1/2", "7/10"])
+def test_rich_thresholds_against_integer_search(epsilon):
+    """max(2, least k with k^q >= n^p) for p/q = 1/2 + eps, found by
+    walking k up as n grows (the threshold never decreases)."""
+    eps = Fraction(epsilon)
+    expo = Fraction(1, 2) + eps
+    p, q = expo.numerator, expo.denominator
+    k = 0
+    for n in range(0, 2001):
+        while k**q < n**p:
+            k += 1
+        assert rich_thresholds(n, eps) == max(2, k), n
+
+
+def test_grid_csv_is_unchanged_by_the_bound_cache(capsys):
+    """The same grid, evaluated with an empty and then a warm cache of
+    eval_total_and_dominance, prints the pinned bytes both times."""
+    name, argv, _ = next(g for g in GOLDEN if g[0] == "grid-all")
+    bounds.eval_total_and_dominance.cache_clear()
+    for _ in range(2):
+        capsys.readouterr()
+        assert main(argv + ["--out", "-"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[name]
+    assert bounds.eval_total_and_dominance.cache_info().hits > 0

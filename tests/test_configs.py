@@ -1,5 +1,6 @@
 """Configuration generators and persistence."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from incidence4.configs import (
     GeneratorSpec,
     ParseError,
     RangeTooSmallError,
+    config_to_dict,
     dumps_config,
     gen_generic,
     gen_planted,
@@ -19,7 +21,13 @@ from incidence4.configs import (
     save_config,
 )
 from incidence4.counting import count_incidences, detect_rich_flat2, detect_rich_hyperplane
-from incidence4.flats import InvariantViolationError, Line4, line_in_flat2, flat2_in_hyperplane
+from incidence4.flats import (
+    Flat2,
+    InvariantViolationError,
+    Line4,
+    flat2_in_hyperplane,
+    line_in_flat2,
+)
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "sample_config.json"
 
@@ -187,3 +195,34 @@ class TestRejectionBudget:
 
         with pytest.raises(RejectionBudgetError):
             _fill_distinct(1, lambda: None, "impossible draws", RejectionBudgetError)
+
+
+def _dump_cases():
+    spec = GeneratorSpec
+    hand = ConfigurationSet(
+        (Line4(("1/3", "-7/2", 0, 5), (2, 3, "5/7", 1)), Line4((1, 2, 3, 4), ("-1/6", 0, 1, 0))),
+        (Flat2(("-1/9", 2, 3, 4), (1, "2/3", 0, 0), (0, 0, 1, "-5/11")),),
+        17,
+        "hand",
+    )
+    loaded = loads_config(json.dumps(config_to_dict(hand)))
+    return {
+        "generic": gen_generic(50, 30, seed=1),
+        "star": gen_star(6, 5, seed=2),
+        "planted-flat": gen_planted(spec(GeneratorKind.PLANTED_RICH_FLAT, 12, 4, 1000, 5), 3)[0],
+        "planted-hyperplane": gen_planted(
+            spec(GeneratorKind.PLANTED_RICH_HYPERPLANE, 4, 12, 1000, 0, 5), 4
+        )[0],
+        "no-lines": gen_generic(0, 3, seed=5),
+        "no-planes": gen_generic(3, 0, seed=5),
+        "empty": gen_generic(0, 0, seed=None),
+        "loaded-rationals": loaded,
+        "provenance-escapes": ConfigurationSet(
+            loaded.lines, (), -3, 'say "\\hi"\t\u00e9\u2713 \U0001f600\x01/'
+        ),
+    }
+
+
+@pytest.mark.parametrize("name,cfg", _dump_cases().items())
+def test_dumps_config_matches_the_json_encoder(name, cfg):
+    assert dumps_config(cfg) == json.dumps(config_to_dict(cfg), sort_keys=True, indent=2) + "\n"
