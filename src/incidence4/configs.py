@@ -16,12 +16,13 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .exactpoly import rat
+from .exactpoly import common_denominator, rat
 from .flats import (
     Flat2,
     Hyperplane3,
@@ -29,6 +30,7 @@ from .flats import (
     Line4,
     flat2_in_hyperplane,
     independent,
+    leading_entry,
     line_in_flat2,
     vdot,
 )
@@ -137,13 +139,19 @@ def _draw_line(rng: random.Random, bound: int) -> Line4:
     return Line4(_draw_vec(rng, bound), _draw_nonzero(rng, bound))
 
 
-def _draw_plane(rng: random.Random, bound: int) -> Flat2:
+def _draw_span(rng: random.Random, bound: int):
+    """Two independent nonzero integer vectors."""
     for _ in range(REJECTION_BUDGET):
         u = _draw_nonzero(rng, bound)
         v = _draw_nonzero(rng, bound)
         if independent(u, v):
-            return Flat2(_draw_vec(rng, bound), u, v)
+            return u, v
     raise RejectionBudgetError("could not draw independent spanning vectors")
+
+
+def _draw_plane(rng: random.Random, bound: int) -> Flat2:
+    u, v = _draw_span(rng, bound)
+    return Flat2(_draw_vec(rng, bound), u, v)
 
 
 def _fill_distinct(target: int, draw, budget_label: str, error_cls=RangeTooSmallError):
@@ -202,16 +210,18 @@ def gen_star(
     """
     rng = random.Random(seed)
     c = tuple(rat(x) for x in center)
+    m, p = common_denominator(c)
 
     def draw_plane():
-        p = _draw_plane(rng, coordinate_range)
-        return Flat2(c, p.u, p.v)
+        u, v = _draw_span(rng, coordinate_range)
+        _draw_vec(rng, coordinate_range)  # drawn and discarded, as `_draw_plane` draws a base
+        return Flat2(p, u, v, den=m)
 
     planes = _fill_distinct(num_planes, draw_plane, "planes")
 
     def draw_line():
         d = _draw_nonzero(rng, coordinate_range)
-        ln = Line4(c, d)
+        ln = Line4(p, d, den=m)
         for pl in planes:
             if all(vdot(n, d) == 0 for n, _ in pl.equations):
                 return None  # direction inside the plane's span: rejected
@@ -257,9 +267,13 @@ def gen_planted(spec: GeneratorSpec, seed: int | None = None):
         cu, cv = rng.randint(-small, small), rng.randint(-small, small)
         if cu == 0 and cv == 0:
             return None
-        base = flat.point_at(a, b)
-        direction = tuple(cu * x + cv * y for x, y in zip(flat.u, flat.v))
-        return Line4(base, direction)
+        # flat.point_at(a, b) and cu*u + cv*v in integers: u = U/su and
+        # v = V/sv for the flat's basis rows U, V and their leading entries.
+        fu, fv, p, m = flat.integer_form
+        su, sv = leading_entry(fu), leading_entry(fv)
+        base = tuple(su * sv * x + m * (a * sv * y + b * su * z) for x, y, z in zip(p, fu, fv))
+        direction = tuple(cu * sv * y + cv * su * z for y, z in zip(fu, fv))
+        return Line4(base, direction, den=m * su * sv)
 
     def draw_generic_line():
         ln = _draw_line(rng, bound)
@@ -350,6 +364,13 @@ def _vec_json(v) -> list[str]:
     return [str(x) for x in v]
 
 
+def _ratio_strs(nums, den: int):
+    """str(Fraction(x, den)) for each int x, den > 0, from one gcd each."""
+    for x in nums:
+        g = math.gcd(x, den)
+        yield str(x // g) if g == den else f"{x // g}/{den // g}"
+
+
 def _parse_vec(values, what: str):
     if not isinstance(values, list) or len(values) != 4:
         raise ParseError(f"{what} must be a list of 4 rationals")
@@ -402,14 +423,17 @@ def config_from_dict(data: dict) -> ConfigurationSet:
 
 def _json_objects(objects) -> str:
     """A JSON list, at depth 1 of indent=2, of objects whose sorted keys
-    map to vectors of rationals; str() of a rational needs no escaping."""
+    map to vectors of rationals nums/den, each given as (key, nums, den);
+    str() of a rational needs no escaping."""
     if not objects:
         return "[]"
     items = (
         "    {\n"
         + ",\n".join(
-            f'      "{key}": [\n        "' + '",\n        "'.join(map(str, v)) + '"\n      ]'
-            for key, v in fields
+            f'      "{key}": [\n        "'
+            + '",\n        "'.join(_ratio_strs(nums, den))
+            + '"\n      ]'
+            for key, nums, den in fields
         )
         + "\n    }"
         for fields in objects
@@ -419,10 +443,20 @@ def _json_objects(objects) -> str:
 
 def dumps_config(cfg: ConfigurationSet) -> str:
     """The bytes of json.dumps(config_to_dict(cfg), sort_keys=True,
-    indent=2) + "\n", rendered directly: the indenting encoder is pure
-    Python, and `ConfigurationSet.digest` hashes this text on every run."""
-    lines = _json_objects([(("d", ln.direction), ("p", ln.base)) for ln in cfg.lines])
-    planes = _json_objects([(("q", pl.base), ("u", pl.u), ("v", pl.v)) for pl in cfg.planes])
+    indent=2) + "\n", rendered directly from the integer forms: the
+    indenting encoder is pure Python, `ConfigurationSet.digest` hashes
+    this text on every run, and the `Fraction` views need not be built.
+    A line's direction and a plane's u and v are their primitive integer
+    rows over the rows' leading entries (see `Line4` and `Flat2`)."""
+    lines = []
+    for ln in cfg.lines:
+        d, p, m = ln.integer_form
+        lines.append((("d", d, leading_entry(d)), ("p", p, m)))
+    planes = []
+    for pl in cfg.planes:
+        u, v, p, m = pl.integer_form
+        planes.append((("q", p, m), ("u", u, leading_entry(u)), ("v", v, leading_entry(v))))
+    lines, planes = _json_objects(lines), _json_objects(planes)
     return (
         f'{{\n  "lines": {lines},\n  "planes": {planes},\n'
         f'  "provenance": {json.dumps(cfg.provenance)},\n  "seed": {json.dumps(cfg.seed)}\n}}\n'

@@ -30,6 +30,7 @@ from .flats import (
     Hyperplane3,
     IdenticalLinesError,
     IncidenceKind,
+    Located,
     candidate_cohyperplanar_pairs,
     candidate_coplanar_pairs,
     candidate_incident_pairs,
@@ -46,11 +47,14 @@ class TooLargeError(ValueError):
     """Brute-force Zarankiewicz search is capped at 25 cells."""
 
 
-@dataclass(frozen=True)
-class IncidenceRecord:
+@dataclass(frozen=True, slots=True)
+class IncidenceRecord(Located):
+    """Line i meets plane j at the point P/m, `integer_location` = (P, m);
+    `location` is its Fraction view, built on first read."""
+
     line_index: int
     plane_index: int
-    location: tuple
+    integer_location: tuple
 
 
 @dataclass(frozen=True)
@@ -89,7 +93,7 @@ def count_incidences(cfg: ConfigurationSet) -> IncidenceReport:
     for i, j in candidate_incident_pairs(lines, planes):
         out = classify_line_flat2(lines[i], planes[j])
         if out.kind is IncidenceKind.POINT:
-            records.append(IncidenceRecord(i, j, out.location))
+            records.append(IncidenceRecord(i, j, out.integer_location))
         elif out.kind is IncidenceKind.CONTAINED:
             containments += 1
     return IncidenceReport(len(records), containments, tuple(records))

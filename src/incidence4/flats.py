@@ -4,21 +4,22 @@ Lines, 2-flats and hyperplanes are stored in a canonical form, so
 structural equality coincides with geometric equality and the objects
 hash consistently for deduplication.
 
-The canonical fields are `fractions.Fraction`: they are the API and the
-file format.  Every `Line4` and `Flat2` is built once, in integers: the
-inputs are cleared to a base P/m and integer direction vectors, and the
-canonical fields are written out with one `Fraction(num, den)` each.  A
-line's direction is made primitive and divided by its first nonzero
-entry.  A 2-flat's reduced row echelon basis, reduced base and two
-equations all come from the six 2x2 minors of its spanning vectors, so
-no elimination runs.  The primitive integer forms are kept as
-attributes: a line as base P/m plus an integer direction
-(`integer_form`), a 2-flat as two integer equations N.x = c
-(`equations`).  Both are canonical, so they are the objects' hashes.
+A `Line4` or `Flat2` stores integers only.  It is built once, in
+integers: the inputs are cleared to a base P/m and integer direction
+vectors.  A line's direction is made primitive; a 2-flat's reduced row
+echelon basis, reduced base and two equations all come from the six
+2x2 minors of its spanning vectors, so no elimination runs.  The
+primitive integer forms are the stored state: a line as base P/m plus
+an integer direction (`integer_form`), a 2-flat as two integer equations
+N.x = c (`equations`) plus its basis rows and base (`integer_form`).
+Both are canonical, so they are the objects' equality and hash.  The
+`Fraction` fields (`base`, `direction`, `u`, `v`) are views of these
+forms, built on first read and cached; so is the `location` of a point
+incidence, stored as integer numerators over one positive denominator.
+
 The predicates (line/2-flat classification, coplanarity of two lines,
-cohyperplanarity of two 2-flats) are exact Python-int determinants or
-dot products on these forms; `Fraction` appears again only in a
-reported incidence location.
+cohyperplanarity of two 2-flats, a 2-flat inside a hyperplane) are
+exact Python-int determinants or dot products on the integer forms.
 
 The pair loops reach the predicates through a residue filter
 (`candidate_incident_pairs`, `candidate_coplanar_pairs`,
@@ -35,8 +36,9 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import operator
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -124,24 +126,39 @@ def matrix_rank(rows) -> int:
 # Integer kernel: primitive vectors and small minors
 # ---------------------------------------------------------------------------
 
+def leading_entry(row: IntVec) -> int:
+    """The first nonzero entry of a nonzero row.  A primitive direction or
+    basis row over its leading entry is the canonical `Fraction` row."""
+    return next(x for x in row if x)
+
+
 def _primitive(values: IntVec) -> IntVec | None:
     """`values` divided by their gcd, first nonzero entry positive; None
     for the zero vector."""
     g = math.gcd(*values)
     if g == 0:
         return None
-    if next(x for x in values if x) < 0:
+    if leading_entry(values) < 0:
         g = -g
+    elif g == 1:
+        return values
     return tuple(x // g for x in values)
 
 
 def _cleared(values) -> tuple[int, IntVec]:
     """(m, m*values): four rationals (ints, Fractions or strings such as
-    '-7/2') over their least common denominator m > 0."""
-    values = tuple(x if isinstance(x, (int, Fraction)) else rat(x) for x in values)
-    if len(values) != 4:
-        raise InvariantViolationError(f"expected 4 coordinates, got {len(values)}")
-    return common_denominator(values)
+    '-7/2') over their least common denominator m > 0.  Integral values
+    (numpy's included) have m = 1 and are only converted to int."""
+    values = tuple(values)
+    try:
+        m, nums = 1, tuple(map(operator.index, values))
+    except TypeError:
+        m, nums = common_denominator(
+            [x if isinstance(x, (int, Fraction)) else rat(x) for x in values]
+        )
+    if len(nums) != 4:
+        raise InvariantViolationError(f"expected 4 coordinates, got {len(nums)}")
+    return m, nums
 
 
 def _reduced(num: IntVec, den: int) -> tuple[IntVec, int]:
@@ -149,7 +166,14 @@ def _reduced(num: IntVec, den: int) -> tuple[IntVec, int]:
     if den < 0:
         num, den = tuple(-x for x in num), -den
     g = math.gcd(den, *num)
+    if g == 1:
+        return num, den
     return tuple(x // g for x in num), den // g
+
+
+def _fractions(num: IntVec, den: int) -> Point4:
+    """The Fraction vector num/den."""
+    return tuple(Fraction(x, den) for x in num)
 
 
 _PAIRS4 = tuple(itertools.combinations(range(4), 2))
@@ -186,12 +210,23 @@ def _minors3(w, p: IntVec) -> IntVec:
     )
 
 
-_PAIRS5 = tuple(itertools.combinations(range(5), 2))
-
-
 def _pluecker(a, b) -> IntVec:
-    """The ten 2x2 minors a_s b_t - a_t b_s (s < t) of two 5-vectors."""
-    return tuple(a[s] * b[t] - a[t] * b[s] for s, t in _PAIRS5)
+    """The ten 2x2 minors a_s b_t - a_t b_s (s < t) of two 5-vectors, in
+    lexicographic order of (s, t)."""
+    a0, a1, a2, a3, a4 = a
+    b0, b1, b2, b3, b4 = b
+    return (
+        a0 * b1 - a1 * b0,
+        a0 * b2 - a2 * b0,
+        a0 * b3 - a3 * b0,
+        a0 * b4 - a4 * b0,
+        a1 * b2 - a2 * b1,
+        a1 * b3 - a3 * b1,
+        a1 * b4 - a4 * b1,
+        a2 * b3 - a3 * b2,
+        a2 * b4 - a4 * b2,
+        a3 * b4 - a4 * b3,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +296,17 @@ def _undecided_pairs(forms, triangle: bool) -> Iterator[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Flat types (canonical on construction)
+# Flat types (canonical on construction, integers only)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+# Each Fraction view is cached in a slot that construction leaves unset.
+_set = object.__setattr__
+
+
+def _frozen(self, name, value=None):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
 class Line4:
     """Affine line: base + t*direction.
 
@@ -274,27 +316,54 @@ class Line4:
     (d_k*P - P_k*d)/(m*d_k) and the direction d/d_k.
 
     `integer_form` is (d, P, m): the primitive integer direction d, and
-    the canonical base as P/m in lowest terms (m > 0).  It is canonical,
-    so it is the hash.
+    the canonical base as P/m in lowest terms (m > 0).  It is the only
+    stored state, and it is canonical, so it is the equality and the
+    hash.  `base` and `direction` are its Fraction views, built on first
+    read.  The input base is `base`/`den` for a positive integer `den`.
     """
 
-    base: Point4
-    direction: Point4
+    __slots__ = ("integer_form", "_base", "_direction")
 
-    def __init__(self, base, direction):
+    def __init__(self, base, direction, den: int = 1):
         m, p = _cleared(base)
         d = _primitive(_cleared(direction)[1])
         if d is None:
             raise InvariantViolationError("line direction must be nonzero")
         k = next(i for i, x in enumerate(d) if x)
         dk, pk = d[k], p[k]
-        p, m = _reduced(tuple(dk * x - pk * y for x, y in zip(p, d)), m * dk)
-        object.__setattr__(self, "base", tuple(Fraction(x, m) for x in p))
-        object.__setattr__(self, "direction", tuple(Fraction(x, dk) for x in d))
-        object.__setattr__(self, "integer_form", (d, p, m))
+        p, m = _reduced(tuple(dk * x - pk * y for x, y in zip(p, d)), m * den * dk)
+        _set(self, "integer_form", (d, p, m))
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other):
+        if not isinstance(other, Line4):
+            return NotImplemented
+        return self.integer_form == other.integer_form
 
     def __hash__(self) -> int:
         return hash(self.integer_form)
+
+    def __repr__(self) -> str:
+        return f"Line4(base={self.base!r}, direction={self.direction!r})"
+
+    @property
+    def base(self) -> Point4:
+        try:
+            return self._base
+        except AttributeError:
+            _, p, m = self.integer_form
+            _set(self, "_base", _fractions(p, m))
+            return self._base
+
+    @property
+    def direction(self) -> Point4:
+        try:
+            return self._direction
+        except AttributeError:
+            d = self.integer_form[0]
+            _set(self, "_direction", _fractions(d, leading_entry(d)))
+            return self._direction
 
     def point_at(self, t) -> Point4:
         return vadd(self.base, vscale(self.direction, t))
@@ -306,7 +375,6 @@ class Line4:
         return diff == vscale(self.direction, t)
 
 
-@dataclass(frozen=True)
 class Flat2:
     """Affine 2-flat: base + a*u + b*v.
 
@@ -322,15 +390,19 @@ class Flat2:
 
     `equations` holds the two equations (N, c), N.x = c, as primitive
     integer rows with the first nonzero entry positive; they are
-    canonical, so they are the hash.  `integer_form` is (u, v, P, m):
-    the primitive integer basis rows and the base as P/m in lowest terms.
+    canonical, so they are the equality and the hash.  `integer_form` is
+    (U, V, P, m): the primitive integer basis rows and the base as P/m
+    in lowest terms.  These two are the only stored state.  `base`, `u`
+    and `v` are their Fraction views, built on first read: P/m, and U
+    and V over their first nonzero entries (at p0 and p1: M(j, p1) is 0
+    for j < p0, M(p0, j) for j < p1, so U and V are u and v times
+    positive integers).  The input base is `base`/`den` for a positive
+    integer `den`.
     """
 
-    base: Point4
-    u: Point4
-    v: Point4
+    __slots__ = ("equations", "integer_form", "_base", "_u", "_v")
 
-    def __init__(self, base, u, v):
+    def __init__(self, base, u, v, den: int = 1):
         m, p = _cleared(base)
         q = _minors2(_cleared(u)[1], _cleared(v)[1])
         k = next((k for k, x in enumerate(q) if x), None)
@@ -349,7 +421,7 @@ class Flat2:
         r2 = minor[p0]
         a, b = p[p0], p[p1]
         base, m = _reduced(
-            tuple(delta * x - y * a - z * b for x, y, z in zip(p, r1, r2)), m * delta
+            tuple(delta * x - y * a - z * b for x, y, z in zip(p, r1, r2)), m * den * delta
         )
         equations = []
         for f in range(4):
@@ -361,14 +433,48 @@ class Flat2:
             normal[p1] = -r2[f]
             row = _primitive((*(m * x for x in normal), vdot(normal, base)))
             equations.append((row[:4], row[4]))
-        object.__setattr__(self, "base", tuple(Fraction(x, m) for x in base))
-        object.__setattr__(self, "u", tuple(Fraction(x, delta) for x in r1))
-        object.__setattr__(self, "v", tuple(Fraction(x, delta) for x in r2))
-        object.__setattr__(self, "equations", tuple(equations))
-        object.__setattr__(self, "integer_form", (_primitive(r1), _primitive(r2), base, m))
+        _set(self, "equations", tuple(equations))
+        _set(self, "integer_form", (_primitive(r1), _primitive(r2), base, m))
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other):
+        if not isinstance(other, Flat2):
+            return NotImplemented
+        return self.equations == other.equations
 
     def __hash__(self) -> int:
         return hash(self.equations)
+
+    def __repr__(self) -> str:
+        return f"Flat2(base={self.base!r}, u={self.u!r}, v={self.v!r})"
+
+    @property
+    def base(self) -> Point4:
+        try:
+            return self._base
+        except AttributeError:
+            _, _, p, m = self.integer_form
+            _set(self, "_base", _fractions(p, m))
+            return self._base
+
+    @property
+    def u(self) -> Point4:
+        try:
+            return self._u
+        except AttributeError:
+            u = self.integer_form[0]
+            _set(self, "_u", _fractions(u, leading_entry(u)))
+            return self._u
+
+    @property
+    def v(self) -> Point4:
+        try:
+            return self._v
+        except AttributeError:
+            v = self.integer_form[1]
+            _set(self, "_v", _fractions(v, leading_entry(v)))
+            return self._v
 
     def point_at(self, a, b) -> Point4:
         return vadd(self.base, vadd(vscale(self.u, a), vscale(self.v, b)))
@@ -381,7 +487,10 @@ class Flat2:
 @dataclass(frozen=True)
 class Hyperplane3:
     """Affine hyperplane {x : normal . x = offset}; first nonzero normal
-    coordinate scaled to 1."""
+    coordinate scaled to 1.
+
+    `integer_form` is (N, c): the equation N.x = c as a primitive
+    integer row with the first nonzero entry positive."""
 
     normal: Point4
     offset: Fraction
@@ -394,6 +503,8 @@ class Hyperplane3:
         scale = 1 / n[pivot]
         object.__setattr__(self, "normal", vscale(n, scale))
         object.__setattr__(self, "offset", rat(offset) * scale)
+        row = _primitive(common_denominator((*self.normal, self.offset))[1])
+        object.__setattr__(self, "integer_form", (row[:4], row[4]))
 
     def contains_point(self, p) -> bool:
         return vdot(self.normal, vec(p)) == self.offset
@@ -409,10 +520,30 @@ class IncidenceKind(enum.Enum):
     CONTAINED = "contained"
 
 
-@dataclass(frozen=True)
-class IncidenceOutcome:
+class Located:
+    """Base of a frozen, slotted dataclass with an `integer_location`
+    field: a point P/m stored as (P, m) in lowest terms with m > 0, or
+    None.  `location` is the point's Fraction view, built on first read."""
+
+    __slots__ = ("_location",)
+
+    @property
+    def location(self) -> Point4 | None:
+        try:
+            return self._location
+        except AttributeError:
+            loc = self.integer_location
+            view = None if loc is None else _fractions(*loc)
+            _set(self, "_location", view)
+            return view
+
+
+@dataclass(frozen=True, slots=True)
+class IncidenceOutcome(Located):
+    """`integer_location` is the meeting point of a POINT outcome, else None."""
+
     kind: IncidenceKind
-    location: Point4 | None = None
+    integer_location: tuple[IntVec, int] | None = None
 
 
 # Shared outcomes without a location: a disjoint pair allocates nothing.
@@ -442,15 +573,13 @@ def classify_line_flat2(ln: Line4, fl: Flat2) -> IncidenceOutcome:
     if a0 * b1 != a1 * b0:
         return DISJOINT
     a, b = (a0, b0) if a0 else (a1, b1)
-    # P/m + (b/(m*a))*d, coordinate by coordinate.
-    ma = m * a
-    location = (
-        Fraction(p0 * a + b * d0, ma),
-        Fraction(p1 * a + b * d1, ma),
-        Fraction(p2 * a + b * d2, ma),
-        Fraction(p3 * a + b * d3, ma),
-    )
-    return IncidenceOutcome(IncidenceKind.POINT, location)
+    # P/m + (b/(m*a))*d, coordinate by coordinate, in lowest terms.
+    den = m * a
+    x0, x1, x2, x3 = p0 * a + b * d0, p1 * a + b * d1, p2 * a + b * d2, p3 * a + b * d3
+    g = math.gcd(den, x0, x1, x2, x3)
+    if den < 0:
+        g = -g
+    return IncidenceOutcome(IncidenceKind.POINT, ((x0 // g, x1 // g, x2 // g, x3 // g), den // g))
 
 
 def line_in_flat2(ln: Line4, fl: Flat2) -> bool:
@@ -458,11 +587,11 @@ def line_in_flat2(ln: Line4, fl: Flat2) -> bool:
 
 
 def flat2_in_hyperplane(fl: Flat2, h: Hyperplane3) -> bool:
-    return (
-        vdot(h.normal, fl.base) == h.offset
-        and vdot(h.normal, fl.u) == 0
-        and vdot(h.normal, fl.v) == 0
-    )
+    """With the flat as P/m + span(U, V) and the hyperplane as N.x = c:
+    N.U = N.V = 0 and N.P = m*c."""
+    u, v, p, m = fl.integer_form
+    n, c = h.integer_form
+    return vdot(n, u) == 0 and vdot(n, v) == 0 and vdot(n, p) == m * c
 
 
 def _offset(l1: Line4, l2: Line4) -> IntVec:
@@ -505,13 +634,14 @@ def span_flat2_of_lines(l1: Line4, l2: Line4) -> Flat2 | None:
     """
     if l1 == l2:
         raise IdenticalLinesError("identical lines span no unique 2-flat")
-    d1, d2 = l1.integer_form[0], l2.integer_form[0]
+    d1, p1, m1 = l1.integer_form
+    d2 = l2.integer_form[0]
     w = _offset(l1, l2)
     p = _minors2(d1, d2)
     if any(_minors3(w, p)):
         return None
     # Parallel distinct lines: the offset w supplies the second direction.
-    return Flat2(l1.base, d1, d2 if any(p) else w)
+    return Flat2(p1, d1, d2 if any(p) else w, den=m1)
 
 
 def cohyperplanar_key(f1: Flat2, f2: Flat2) -> IntVec | None:
