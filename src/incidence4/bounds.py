@@ -96,13 +96,6 @@ class RationalInterval:
         )
         return RationalInterval(min(quotients), max(quotients))
 
-    def __float__(self) -> float:
-        return float(self.mid)
-
-    def __contains__(self, v) -> bool:
-        v = rat(v)
-        return self.lo <= v <= self.hi
-
 
 def _as_interval(v) -> RationalInterval:
     if isinstance(v, RationalInterval):
@@ -182,21 +175,18 @@ def compare_power_products(left, right) -> int:
     Raises both sides to the least common multiple of the exponent
     denominators, turning the comparison into exact Fraction arithmetic.
     """
-    scale = 1
-    for _, e in list(left) + list(right):
-        scale = scale * rat(e).denominator // math.gcd(scale, rat(e).denominator)
-    lv = Fraction(1)
-    for b, e in left:
-        b, e = rat(b), rat(e)
-        if b <= 0:
-            raise DomainError("power products need positive bases")
-        lv *= b ** int(e * scale)
-    rv = Fraction(1)
-    for b, e in right:
-        b, e = rat(b), rat(e)
-        if b <= 0:
-            raise DomainError("power products need positive bases")
-        rv *= b ** int(e * scale)
+    left, right = list(left), list(right)
+    scale = math.lcm(*(rat(e).denominator for _, e in left + right))
+    values = []
+    for side in (left, right):
+        v = Fraction(1)
+        for b, e in side:
+            b, e = rat(b), rat(e)
+            if b <= 0:
+                raise DomainError("power products need positive bases")
+            v *= b ** int(e * scale)
+        values.append(v)
+    lv, rv = values
     return (lv > rv) - (lv < rv)
 
 
@@ -329,47 +319,34 @@ def eval_cell_decomposition(p: BoundParams) -> CellDecomposition:
     )
 
 
-def eval_g2_bound(p: BoundParams) -> BoundResult:
-    """Ceiling 2 * D^(3/2 + 3 eps) * L^(1/2 - eps) on rich 2-surfaces.
+def _rich_surface_bound(p: BoundParams, n: int, name: str, c: int) -> BoundResult:
+    """Ceiling 2 * D^(c(1/2 + eps)) * n^(1/2 - eps) on rich surfaces, for
+    n objects (`name`) of codimension c in R^4.
 
-    Hypothesis (exact): A = (L/D^3)^(1/2+eps) must exceed 2 D L^(1/2),
-    the threshold of the surface-counting lemma.
+    Hypothesis (exact): A = (n/D^c)^(1/2+eps) must exceed 2 D n^(1/2),
+    the threshold of the surface-counting lemma; squared, that is
+    (n/D^c)^(1+2eps) > 4 D^2 n.
     """
-    L, D, eps = p.num_lines, p.degree, p.epsilon
-    value = 2 * interval_power(D, Fraction(3, 2) + 3 * eps) * interval_power(
-        L, Fraction(1, 2) - eps
+    D, eps = p.degree, p.epsilon
+    value = 2 * interval_power(D, c * (Fraction(1, 2) + eps)) * interval_power(
+        n, Fraction(1, 2) - eps
     )
-    ok = (
-        compare_power_products(
-            [(Fraction(L, D**3), 1 + 2 * eps)],
-            [(4 * D * D * L, 1)],
-        )
-        > 0
+    ok = compare_power_products([(Fraction(n, D**c), 1 + 2 * eps)], [(4 * D * D * n, 1)]) > 0
+    detail = (
+        f"A = ({name}/D^{c})^(1/2+eps) with {name}={n}, D={D}, eps={eps} "
+        f"{'>' if ok else '<='} 2*D*sqrt({name}): lemma threshold {'met' if ok else 'NOT met'}"
     )
-    a_desc = f"A = (L/D^3)^(1/2+eps) with L={L}, D={D}, eps={eps}"
-    detail = f"{a_desc} {'>' if ok else '<='} 2*D*sqrt(L): lemma threshold {'met' if ok else 'NOT met'}"
     return BoundResult(value, ok, detail)
+
+
+def eval_g2_bound(p: BoundParams) -> BoundResult:
+    """Ceiling 2 * D^(3/2 + 3 eps) * L^(1/2 - eps) on rich 2-surfaces."""
+    return _rich_surface_bound(p, p.num_lines, "L", 3)
 
 
 def eval_g3_bound(p: BoundParams) -> BoundResult:
-    """Ceiling 2 * D^(1 + 2 eps) * S^(1/2 - eps) on rich 3-surfaces.
-
-    Hypothesis (exact): A = (S/D^2)^(1/2+eps) must exceed 2 D S^(1/2).
-    """
-    S, D, eps = p.num_planes, p.degree, p.epsilon
-    value = 2 * interval_power(D, 1 + 2 * eps) * interval_power(S, Fraction(1, 2) - eps)
-    ok = (
-        compare_power_products(
-            [(Fraction(S, D**2), 1 + 2 * eps)],
-            [(4 * D * D * S, 1)],
-        )
-        > 0
-    )
-    detail = (
-        f"A = (S/D^2)^(1/2+eps) with S={S}, D={D}, eps={eps} "
-        f"{'>' if ok else '<='} 2*D*sqrt(S): lemma threshold {'met' if ok else 'NOT met'}"
-    )
-    return BoundResult(value, ok, detail)
+    """Ceiling 2 * D^(1 + 2 eps) * S^(1/2 - eps) on rich 3-surfaces."""
+    return _rich_surface_bound(p, p.num_planes, "S", 2)
 
 
 @dataclass(frozen=True)

@@ -128,6 +128,15 @@ def _bound_rows(td: bnd.TotalAndDominance) -> list:
     return [("main_bound", td.main)] + sorted(td.parts.items()) + [("total", td.total)]
 
 
+def _verdict(name: str, bound: bnd.BoundResult, count: int, detail: str) -> tuple[str, str, str]:
+    """(name, status, detail) of `count` against `bound`: pass or FAIL
+    with `detail` when the bound's hypothesis holds, otherwise
+    informational with the hypothesis detail."""
+    if not bound.hypothesis_satisfied:
+        return name, "out-of-regime, informational", bound.hypothesis_detail
+    return name, "pass" if count <= bound.upper else "FAIL", detail
+
+
 def run_experiment(spec: ExperimentSpec, preloaded: ConfigurationSet | None = None) -> ExperimentReport:
     """Generate (or take a preloaded configuration), count, optionally
     partition, detect rich flats, evaluate every bound, and compare the
@@ -210,20 +219,11 @@ def run_experiment(spec: ExperimentSpec, preloaded: ConfigurationSet | None = No
         add(f"total_over_main_ratio: {float(total.ratio.mid):.6g}")
         count = incidences.point_incidences
         for name, res in (("main_bound", total.main), ("total", total.total)):
-            if res.hypothesis_satisfied:
-                status = "pass" if count <= res.upper else "FAIL"
-                verdicts.append((name, status, f"count {count} <= {float(res.mid):.6g}"))
-            else:
-                verdicts.append((name, "out-of-regime, informational", res.hypothesis_detail))
+            verdicts.append(_verdict(name, res, count, f"count {count} <= {float(res.mid):.6g}"))
         if part is not None:
-            zs = bnd.eval_zero_set_cases(params, constants)
-            if zs.total.hypothesis_satisfied:
-                status = "pass" if incidences.zero_set_count <= zs.total.upper else "FAIL"
-                verdicts.append(
-                    ("zero_set_total", status, f"zero-set count {incidences.zero_set_count}")
-                )
-            else:
-                verdicts.append(("zero_set_total", "out-of-regime, informational", zs.total.hypothesis_detail))
+            zs = bnd.eval_zero_set_cases(params, constants).total
+            zcount = incidences.zero_set_count
+            verdicts.append(_verdict("zero_set_total", zs, zcount, f"zero-set count {zcount}"))
     else:
         add("bounds skipped: need at least one line and one plane")
 

@@ -154,17 +154,22 @@ def _draw_plane(rng: random.Random, bound: int) -> Flat2:
     return Flat2(_draw_vec(rng, bound), u, v)
 
 
-def _fill_distinct(target: int, draw, budget_label: str, error_cls=RangeTooSmallError):
-    seen: dict = {}
+def _fill_distinct(
+    target: int, draw, budget_label: str, error_cls=RangeTooSmallError, taken=()
+):
+    """`target` distinct draws, in draw order, skipping None and anything
+    in `taken`; a target of 0 or less draws nothing."""
+    seen = dict.fromkeys(taken)
+    start = len(seen)
     attempts = 0
-    while len(seen) < target:
+    while len(seen) < start + target:
         attempts += 1
         if attempts > REJECTION_BUDGET + 10 * target:
             raise error_cls(f"could not produce {target} distinct {budget_label}")
         obj = draw()
         if obj is not None and obj not in seen:
             seen[obj] = None
-    return list(seen)
+    return list(seen)[start:]
 
 
 # ---------------------------------------------------------------------------
@@ -298,27 +303,14 @@ def gen_planted(spec: GeneratorSpec, seed: int | None = None):
             return None
         return pl
 
-    planted_lines = _fill_distinct(k_lines, draw_planted_line, "planted lines") if k_lines else []
-    generic_lines = []
-    if spec.num_lines > k_lines:
-        taken = set(planted_lines)
-
-        def fresh_line():
-            ln = draw_generic_line()
-            return None if ln is None or ln in taken else ln
-
-        generic_lines = _fill_distinct(spec.num_lines - k_lines, fresh_line, "lines")
-
-    planted_planes = _fill_distinct(k_planes, draw_planted_plane, "planted planes") if k_planes else []
-    generic_planes = []
-    if spec.num_planes > k_planes:
-        taken_p = set(planted_planes)
-
-        def fresh_plane():
-            pl = draw_generic_plane()
-            return None if pl is None or pl in taken_p else pl
-
-        generic_planes = _fill_distinct(spec.num_planes - k_planes, fresh_plane, "planes")
+    planted_lines = _fill_distinct(k_lines, draw_planted_line, "planted lines")
+    generic_lines = _fill_distinct(
+        spec.num_lines - k_lines, draw_generic_line, "lines", taken=planted_lines
+    )
+    planted_planes = _fill_distinct(k_planes, draw_planted_plane, "planted planes")
+    generic_planes = _fill_distinct(
+        spec.num_planes - k_planes, draw_generic_plane, "planes", taken=planted_planes
+    )
 
     lines = tuple(planted_lines + generic_lines)
     planes = tuple(planted_planes + generic_planes)

@@ -31,14 +31,17 @@ and each is exact because it only multiplies by positive constants:
   substitution    p(base + sum_k t_k*dir_k) for p in at most 4
                   variables (`_substitution`).  Base and directions are
                   cleared to one denominator M, giving the integer linear
-                  forms B_i + sum_k t_k*U_ki; the sum of
-                  c_e * M^(D-|e|) * prod form_i^e_i is the result times
-                  M^D times the scale, so those integers with that
-                  constant are the result; nothing is divided.  It has
-                  four callers: `restrict_to_line` and `restrict_to_flat2`
-                  (through `compose_affine`), the shift back p(x - shift)
-                  of each bisection factor in `partition`, and the shear
-                  q(x + lam*y, y) of `bezout_point_check`.
+                  forms B_i + sum_k t_k*U_ki.  The monomials in these
+                  forms up to deg p are lifted along the sign kernel's
+                  `_lift_plan`, each one an earlier monomial times one
+                  form; the sum of c_e * M^(D-|e|) * monomial_e is the
+                  result times M^D times the scale, so those integers
+                  with that constant are the result; nothing is divided.
+                  It has four callers: `restrict_to_line` and
+                  `restrict_to_flat2` (through `compose_affine`), the
+                  shift back p(x - shift) of each bisection factor in
+                  `partition`, and the shear q(x + lam*y, y) of
+                  `bezout_point_check`.
   `_sign_at`      the sign of an integer univariate polynomial at
                   x = p/q (q > 0): the sum of c_i p^i q^(n-i), by
                   homogeneous Horner, is g(x) times q^n.  Root isolation,
@@ -285,9 +288,6 @@ class SparsePoly:
         for e, c in other.terms.items():
             out[e] = out.get(e, ZERO) - c
         return SparsePoly(self.nvars, out)
-
-    def __neg__(self) -> "SparsePoly":
-        return SparsePoly(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other) -> "SparsePoly":
         if isinstance(other, (int, Fraction)):
@@ -729,58 +729,38 @@ def _substitution(p: SparsePoly, base, directions) -> tuple[dict[int, int], Frac
     sum_k i_k*stride^k of prod t_k^i_k, with stride = deg p + 1.
 
     Integer arithmetic throughout (see the module docstring): the point
-    is cleared to (B + sum_k t_k*U_k) / M, and the sum over the integer
-    form of c_e * M^(D-|e|) * prod (B_i + sum_k t_k*U_ki)^e_i is the
-    result times den = M^D * integer_scale.
+    is cleared to (B + sum_k t_k*U_k) / M, and the monomials up to deg p
+    in the forms B_i + sum_k t_k*U_ki are lifted along the sign kernel's
+    `_lift_plan`, each row its parent times one form; the sum over the
+    integer form of c_e * M^(D-|e|) * row_e is the result times
+    den = M^D * integer_scale.
     """
     n = p.nvars
     if any(len(v) != n for v in (base, *directions)):
         raise ValueError("base and directions need one coordinate per variable")
     if p.is_zero:
         return {}, ONE
-    terms = p.integer_terms
     m, ints = common_denominator([rat(x) for x in (*base, *(x for d in directions for x in d))])
     steps = [(p.degree + 1) ** k for k in range(len(directions))]
-    tops = [max(col) for col in zip(*(e for _, e, _ in terms))]
-    tables = []
-    for i in range(n):
-        # B_i at key 0, then each direction's U_ki at its parameter's key
-        form = {key: v for key, v in zip((0, *steps), ints[i::n]) if v}
-        powers = [{0: 1}]
-        for _ in range(tops[i]):
-            powers.append(_mul_packed(powers[-1], form))
-        tables.append(powers)
-    # Padded variables only ever meet exponent 0.
-    t0, t1, t2, t3 = tables + [[{0: 1}]] * (4 - n)
+    # B_i at key 0, then each direction's U_ki at its parameter's key
+    forms = [[(key, v) for key, v in zip((0, *steps), ints[i::n]) if v] for i in range(n)]
+    degree = max(p.degree, 1)
+    rows = [{0: 1}]
+    for parent, var in _lift_plan(monomial_exponents(degree, n)):
+        row: dict[int, int] = {}
+        for ka, va in rows[parent].items():
+            for kb, vb in forms[var]:
+                key = ka + kb
+                row[key] = row.get(key, 0) + va * vb
+        rows.append(row)
+    index = _row_index(degree, n)
     mpow = [m**k for k in range(p.degree + 1)]
-
-    # Horner in two levels: group the terms by (e0, e1), sum each group's
-    # c * m^rest * t2^e2 * t3^e3, then multiply by t0^e0 * t1^e1 once.
-    low: dict[tuple[int, int], dict[int, int]] = {}
-    groups: dict[tuple[int, int], dict[int, int]] = {}
-    for c, (e0, e1, e2, e3), rest in terms:
-        prod = low.get((e2, e3))
-        if prod is None:
-            prod = low[(e2, e3)] = _mul_packed(t2[e2], t3[e3])
-        acc = groups.setdefault((e0, e1), {})
-        k = c * mpow[rest]
-        for key, v in prod.items():
-            acc[key] = acc.get(key, 0) + k * v
     total: dict[int, int] = {}
-    for (e0, e1), acc in groups.items():
-        for key, v in _mul_packed(_mul_packed(t0[e0], t1[e1]), acc).items():
-            total[key] = total.get(key, 0) + v
+    for c, e, rest in p.integer_terms:
+        k = c * mpow[rest]
+        for key, v in rows[index[e]].items():
+            total[key] = total.get(key, 0) + k * v
     return total, m**p.degree * p.integer_scale
-
-
-def _mul_packed(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """Product of two integer polynomials keyed by packed exponents."""
-    out: dict[int, int] = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            k = ka + kb
-            out[k] = out.get(k, 0) + va * vb
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -506,9 +506,6 @@ class Hyperplane3:
         row = _primitive(common_denominator((*self.normal, self.offset))[1])
         object.__setattr__(self, "integer_form", (row[:4], row[4]))
 
-    def contains_point(self, p) -> bool:
-        return vdot(self.normal, vec(p)) == self.offset
-
 
 # ---------------------------------------------------------------------------
 # Incidence classification

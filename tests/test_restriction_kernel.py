@@ -17,10 +17,11 @@ sign of `UniPoly.eval` on Fractions.
 import math
 import random
 from fractions import Fraction as F
+from itertools import product
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from incidence4.exactpoly import (
     SparsePoly,
@@ -72,6 +73,19 @@ def polys(nvars: int, max_degree: int = 4, min_size: int = 0):
     return st.dictionaries(exponent, coefficients, min_size=min_size, max_size=14).map(
         lambda terms: SparsePoly(nvars, terms)
     )
+
+
+def dense_poly(degree: int, seed: int) -> SparsePoly:
+    """Every monomial of degree <= `degree` in 4 variables, each with a
+    nonzero coefficient: the shape of the stored crossing factors
+    (degree 5-6), whose restriction lifts all C(degree + 4, 4) - 1
+    monomials (209 at degree 6)."""
+    rng = random.Random(seed)
+    return SparsePoly(4, {
+        e: F(rng.choice((-1, 1)) * rng.randint(1, 999), rng.randint(1, 9))
+        for e in product(range(degree + 1), repeat=4)
+        if sum(e) <= degree
+    })
 
 
 def substitute_line(p, base, direction):
@@ -137,6 +151,10 @@ def vanishing_form(base, directions, extra):
 
 @ORACLE
 @given(p=polys(4), base=vectors, direction=nonzero_vectors)
+@example(p=dense_poly(5, 1), base=(50, -7, -44, -57), direction=(3, 3, 1, -1))
+@example(p=dense_poly(6, 2), base=(F(1, 2), -3, 7, F(-5, 3)), direction=(2, F(1, 4), -1, 3))
+# Coordinate 1 is 0 on the whole line, so its linear form is empty.
+@example(p=dense_poly(6, 3), base=(4, 0, -2, F(1, 3)), direction=(1, 0, 5, -2))
 def test_line_matches_substitute(p, base, direction):
     ln = SimpleNamespace(base=base, direction=direction)
     assert_same(restrict_to_line(p, ln), substitute_line(p, base, direction))
@@ -144,6 +162,10 @@ def test_line_matches_substitute(p, base, direction):
 
 @ORACLE
 @given(p=polys(4), base=vectors, u=vectors, v=vectors)
+@example(p=dense_poly(5, 4), base=(9, -2, 0, 5), u=(1, 0, 2, -1), v=(0, 1, -3, 4))
+@example(p=dense_poly(6, 5), base=(F(3, 2), 1, -6, 2), u=(2, -1, F(1, 3), 0), v=(1, 4, 0, -2))
+# Coordinate 2 is 0 on the whole flat, so its linear form is empty.
+@example(p=dense_poly(6, 6), base=(-3, 5, 0, 1), u=(1, 2, 0, -1), v=(0, F(1, 2), 0, 3))
 def test_flat_matches_substitute(p, base, u, v):
     fl = SimpleNamespace(base=base, u=u, v=v)
     assert_same(restrict_to_flat2(p, fl), substitute_flat(p, base, u, v))
