@@ -28,20 +28,26 @@ and each is exact because it only multiplies by positive constants:
                   so no partial sum can overflow; every bound is taken
                   in Python ints, and every other row or product is
                   summed in Python ints.  Results leave as Python ints.
-  substitution    p(base + sum_k t_k*dir_k) for p in at most 4
-                  variables (`_substitution`).  Base and directions are
-                  cleared to one denominator M, giving the integer linear
-                  forms B_i + sum_k t_k*U_ki.  The monomials in these
-                  forms up to deg p are lifted along the sign kernel's
-                  `_lift_plan`, each one an earlier monomial times one
-                  form; the sum of c_e * M^(D-|e|) * monomial_e is the
-                  result times M^D times the scale, so those integers
+  substitution    p(base + sum_k t_k*dir_k) for each p of a list of
+                  polynomials in one number of variables, at most 4
+                  (`_substitution`).  Base and directions are cleared to
+                  one denominator M, giving the integer linear forms
+                  B_i + sum_k t_k*U_ki.  The monomials in these forms up
+                  to the top degree K of the list are lifted once along
+                  the sign kernel's `_lift_plan`, each one an earlier
+                  monomial times one form, and every key is packed with
+                  the one stride K + 1; the rows up to deg p are a prefix,
+                  and the sum of c_e * M^(D-|e|) * monomial_e is p's
+                  result times M^D times its scale, so those integers
                   with that constant are the result; nothing is divided.
-                  It has four callers: `restrict_to_line` and
-                  `restrict_to_flat2` (through `compose_affine`), the
-                  shift back p(x - shift) of each bisection factor in
-                  `partition`, and the shear q(x + lam*y, y) of
-                  `bezout_point_check`.
+                  The plural calls restrict all partition factors to a
+                  line (`restrict_all_to_line`) or a 2-flat
+                  (`compose_affine_all`) and shear both curves of
+                  `bezout_point_check`, q(x + lam*y, y), with one lift;
+                  `restrict_to_line`, `restrict_to_flat2` and
+                  `compose_affine` (the shift back p(x - shift) of each
+                  bisection factor in `partition`) are one-polynomial
+                  calls of the same kernel.
   `_sign_at`      the sign of an integer univariate polynomial at
                   x = p/q (q > 0): the sum of c_i p^i q^(n-i), by
                   homogeneous Horner, is g(x) times q^n.  Root isolation,
@@ -694,14 +700,19 @@ def restrict_to_line(p: SparsePoly, ln) -> UniPoly:
     result has degree at most deg p (strictly less only when leading
     terms cancel); the zero input restricts to the zero polynomial.
     """
+    return restrict_all_to_line((p,), ln)[0]
+
+
+def restrict_all_to_line(polys: Sequence[SparsePoly], ln) -> list[UniPoly]:
+    """`restrict_to_line` of each polynomial, through one lift of the line."""
     if all(d == 0 for d in ln.direction):
         raise ValueError("line direction must be nonzero")
-    if p.nvars != 4:
+    if any(p.nvars != 4 for p in polys):
         raise ValueError("restriction expects a 4-variable polynomial")
-    coeffs, den = _substitution(p, ln.base, (ln.direction,))
-    return UniPoly.from_integers(
-        [coeffs.get(k, 0) for k in range(max(coeffs, default=-1) + 1)], den
-    )
+    return [
+        UniPoly.from_integers([coeffs.get(k, 0) for k in range(max(coeffs, default=-1) + 1)], den)
+        for coeffs, den in _substitution(polys, ln.base, (ln.direction,))
+    ]
 
 
 def restrict_to_flat2(p: SparsePoly, fl) -> SparsePoly:
@@ -714,37 +725,48 @@ def restrict_to_flat2(p: SparsePoly, fl) -> SparsePoly:
 def compose_affine(p: SparsePoly, base, directions) -> SparsePoly:
     """p(base + t_0*directions[0] + t_1*directions[1] + ...) as an exact
     polynomial in the parameters t_k (`_substitution` in ints)."""
-    stride = p.degree + 1
+    return compose_affine_all((p,), base, directions)[0]
+
+
+def compose_affine_all(polys: Sequence[SparsePoly], base, directions) -> list[SparsePoly]:
+    """`compose_affine` of each polynomial, through one lift of the
+    affine map; every key is unpacked with the shared stride."""
+    stride = max((p.degree for p in polys), default=0) + 1  # as in `_substitution`
     k = len(directions)
-    coeffs, den = _substitution(p, base, directions)
-    return SparsePoly.from_integers(k, {
-        tuple(key // stride**j % stride for j in range(k)): c for key, c in coeffs.items()
-    }, den)
+    return [
+        SparsePoly.from_integers(k, {
+            tuple(key // stride**j % stride for j in range(k)): c for key, c in coeffs.items()
+        }, den)
+        for coeffs, den in _substitution(polys, base, directions)
+    ]
 
 
-def _substitution(p: SparsePoly, base, directions) -> tuple[dict[int, int], Fraction]:
-    """(coeffs, den): p(base + sum_k t_k*directions[k]) is the integer
-    polynomial `coeffs` divided by the positive rational `den`, for p in
-    at most 4 variables.  `coeffs` is keyed by the packed exponent
-    sum_k i_k*stride^k of prod t_k^i_k, with stride = deg p + 1.
+def _substitution(
+    polys: Sequence[SparsePoly], base, directions
+) -> list[tuple[dict[int, int], Fraction]]:
+    """One (coeffs, den) per polynomial p: p(base + sum_k t_k*directions[k])
+    is the integer polynomial `coeffs` divided by the positive rational
+    `den`, for polynomials in one number of variables, at most 4.  Every
+    `coeffs` is keyed by the packed exponent sum_k i_k*stride^k of
+    prod t_k^i_k, with the one stride K + 1 for the top degree K among
+    `polys`.  The zero polynomial gives ({}, 1).
 
     Integer arithmetic throughout (see the module docstring): the point
-    is cleared to (B + sum_k t_k*U_k) / M, and the monomials up to deg p
-    in the forms B_i + sum_k t_k*U_ki are lifted along the sign kernel's
-    `_lift_plan`, each row its parent times one form; the sum over the
-    integer form of c_e * M^(D-|e|) * row_e is the result times
-    den = M^D * integer_scale.
+    is cleared to (B + sum_k t_k*U_k) / M, and the monomials up to K in
+    the forms B_i + sum_k t_k*U_ki are lifted once along the sign
+    kernel's `_lift_plan`, each row its parent times one form; the rows
+    up to deg p are a prefix, and the sum over p's integer form of
+    c_e * M^(D-|e|) * row_e is p's result times den = M^D * integer_scale.
     """
-    n = p.nvars
-    if any(len(v) != n for v in (base, *directions)):
-        raise ValueError("base and directions need one coordinate per variable")
-    if p.is_zero:
-        return {}, ONE
+    n = len(base)
+    if any(p.nvars != n for p in polys) or any(len(d) != n for d in directions):
+        raise ValueError("polynomials, base and directions need one number of variables")
+    top = max((p.degree for p in polys), default=0)
     m, ints = common_denominator([rat(x) for x in (*base, *(x for d in directions for x in d))])
-    steps = [(p.degree + 1) ** k for k in range(len(directions))]
+    steps = [(top + 1) ** k for k in range(len(directions))]
     # B_i at key 0, then each direction's U_ki at its parameter's key
     forms = [[(key, v) for key, v in zip((0, *steps), ints[i::n]) if v] for i in range(n)]
-    degree = max(p.degree, 1)
+    degree = max(top, 1)
     rows = [{0: 1}]
     for parent, var in _lift_plan(monomial_exponents(degree, n)):
         row: dict[int, int] = {}
@@ -754,13 +776,16 @@ def _substitution(p: SparsePoly, base, directions) -> tuple[dict[int, int], Frac
                 row[key] = row.get(key, 0) + va * vb
         rows.append(row)
     index = _row_index(degree, n)
-    mpow = [m**k for k in range(p.degree + 1)]
-    total: dict[int, int] = {}
-    for c, e, rest in p.integer_terms:
-        k = c * mpow[rest]
-        for key, v in rows[index[e]].items():
-            total[key] = total.get(key, 0) + k * v
-    return total, m**p.degree * p.integer_scale
+    mpow = [m**k for k in range(top + 1)]
+    results = []
+    for p in polys:
+        total: dict[int, int] = {}
+        for c, e, rest in p.integer_terms:
+            k = c * mpow[rest]
+            for key, v in rows[index[e]].items():
+                total[key] = total.get(key, 0) + k * v
+        results.append((total, ONE if p.is_zero else mpow[p.degree] * p.integer_scale))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -1328,9 +1353,7 @@ def bezout_point_check(q1: SparsePoly, q2: SparsePoly):
     for lam in _SHEAR_LADDER:
         # (x, y) -> (x + lam*y, y); the sheared y-degree falls below the
         # total degree exactly when the top form vanishes at (lam, 1).
-        shear = ((1, 0), (lam, 1))
-        a = _coeffs_in(compose_affine(q1, (0, 0), shear), 1)
-        b = _coeffs_in(compose_affine(q2, (0, 0), shear), 1)
+        a, b = (_coeffs_in(q, 1) for q in compose_affine_all((q1, q2), (0, 0), ((1, 0), (lam, 1))))
         if len(a) <= d1 or len(b) <= d2:
             continue
         if len(a) < len(b):

@@ -9,12 +9,15 @@ verified exactly, so the returned partition carries no numeric trust.
 This module does no sign arithmetic of its own: every sign of a factor
 at a point comes from the sign kernel of `exactpoly`.  A build lifts
 each point once, at the schedule's top degree, and certifies each
-candidate on those rows; cell assignment and the sign vectors sampled
-on a 2-flat lift their point sets once per call.  Every template of the
+candidate on those rows; cell assignment lifts its point set once per
+call, and the lattice points sampled on a 2-flat are lifted once per
+(sample budget, degree) and shared by every flat.  Every template of the
 search, from a unit, Newton or anchored direction, goes through one
 integer threshold sweep, and a certified factor is moved back to the
 input coordinates by the integer substitution kernel
-(`exactpoly.compose_affine`); no Fraction polynomial product runs.
+(`exactpoly.compose_affine`); no Fraction polynomial product runs.  The
+same kernel restricts all factors to a line or 2-flat through one lift
+of the object.
 Int point sets whose shifted lift provably fits a machine word are
 shifted, lifted and scored in numpy int64 by the kernel's word path
 (`_int_matrix`, `_lift_matrix`, `_dots`), and the numeric search reads
@@ -33,6 +36,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -49,12 +53,12 @@ from .exactpoly import (
     _row_signs,
     clear_denominators,
     compose_affine,
+    compose_affine_all,
     isolate_real_roots,
     merge_real_roots,
     monomial_exponents,
     rat,
-    restrict_to_flat2,
-    restrict_to_line,
+    restrict_all_to_line,
     sample_points_between_roots,
     sign_vector,
     sign_vectors,
@@ -491,12 +495,10 @@ def line_cell_profile(ln, part: PartitionPolynomial):
     sample parameter per complementary open interval, and the factor
     sign vector there.
     """
-    restrictions = []
-    for idx, f in enumerate(part.factors):
-        r = restrict_to_line(f, ln)
+    restrictions = restrict_all_to_line(part.factors, ln)
+    for idx, r in enumerate(restrictions):
         if r.is_zero:
             raise LineInZeroSetError(f"factor {idx} vanishes on the line")
-        restrictions.append(r)
     roots = merge_real_roots(
         [isolate_real_roots(r) for r in restrictions if r.degree >= 1]
     )
@@ -532,6 +534,19 @@ def line_crossing_stats(ln, part: PartitionPolynomial) -> CrossingStats:
 _LATTICE = (233, 610, 987)  # Fibonacci rank-1 lattice: even 2-D coverage at small budgets
 
 
+@lru_cache(maxsize=None)
+def _lattice_rows(sample_budget: int, degree: int) -> tuple[tuple[int, ...], ...]:
+    """Homogeneous rows of degree `degree` (`_homogeneous_rows`) of the
+    first `sample_budget` rational lattice points in [-16, 16]^2, built
+    once per (sample_budget, degree) and shared by every 2-flat."""
+    g1, g2, q = _LATTICE
+    samples = [
+        (Fraction(32 * (i * g1 % q), q) - 16, Fraction(32 * (i * g2 % q), q) - 16)
+        for i in range(1, sample_budget + 1)
+    ]
+    return tuple(map(tuple, _homogeneous_rows(samples, degree)))
+
+
 def flat2_crossing_stats(
     fl,
     part: PartitionPolynomial,
@@ -539,24 +554,20 @@ def flat2_crossing_stats(
 ) -> int:
     """Certified lower bound on the open cells a 2-flat enters.
 
-    Takes the exact factor sign vectors (`sign_vectors` on the restricted
-    factors) at `sample_budget` deterministic rational lattice points of
-    the flat's coordinate chart, in the square [-16, 16]^2; distinct
-    all-nonzero sign vectors witness distinct cells.  The count is
-    checked against the degree^2 + degree + 1 region bound.
+    Takes the exact sign vectors of the restricted factors (`_row_signs`
+    on the lattice rows) at `sample_budget` deterministic rational
+    lattice points of the flat's coordinate chart, in the square
+    [-16, 16]^2; distinct all-nonzero sign vectors witness distinct
+    cells.  The count is checked against the degree^2 + degree + 1
+    region bound.
     """
-    restrictions = []
-    for idx, f in enumerate(part.factors):
-        r = restrict_to_flat2(f, fl)
+    restrictions = compose_affine_all(part.factors, fl.base, (fl.u, fl.v))
+    for idx, r in enumerate(restrictions):
         if r.is_zero:
             raise FlatInZeroSetError(f"factor {idx} vanishes on the 2-flat")
-        restrictions.append(r)
-    g1, g2, q = _LATTICE
-    samples = [
-        (Fraction(32 * (i * g1 % q), q) - 16, Fraction(32 * (i * g2 % q), q) - 16)
-        for i in range(1, sample_budget + 1)
-    ]
-    seen = {sv for sv in sign_vectors(restrictions, samples) if 0 not in sv}
+    rows = _lattice_rows(sample_budget, max([1, *(r.degree for r in restrictions)]))
+    vectors = zip(*(_row_signs(r, rows) for r in restrictions)) if restrictions else [()] * len(rows)
+    seen = {sv for sv in vectors if 0 not in sv}
     d = part.degree
     if len(seen) > d * d + d + 1:
         raise AssertionError("2-flat entered more cells than its region bound")

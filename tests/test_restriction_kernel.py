@@ -3,7 +3,10 @@
 One integer kernel computes every affine substitution p(base + sum t_k
 dir_k): `restrict_to_line` / `restrict_to_flat2`, the shift back
 p(x - shift) of a bisection factor and the shear q(x + lam*y, y) of the
-Bezout check.  It runs in Python ints on the stored integer form of the
+Bezout check.  Its plural calls (`restrict_all_to_line`,
+`compose_affine_all`) lift the object once for a list of polynomials and
+pack every key with the stride of the top degree; each result must equal
+the one-polynomial call.  It runs in Python ints on the stored integer form of the
 polynomial and builds its result from integers and one positive
 constant.  The reference is `SparsePoly.substitute` with linear axes,
 which multiplies Fraction polynomials: the two builds must compare and
@@ -26,9 +29,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 from incidence4.exactpoly import (
     SparsePoly,
     UniPoly,
+    _substitution,
     bezout_point_check,
     compose_affine,
+    compose_affine_all,
     poly2,
+    restrict_all_to_line,
     restrict_to_flat2,
     restrict_to_line,
     sign,
@@ -204,6 +210,69 @@ def test_factor_vanishing_on_flat(q, base, u, v, extra):
     assert_same(restrict_to_flat2(q * form, fl), SparsePoly.zero(2))
     with pytest.raises(FlatInZeroSetError):
         flat2_crossing_stats(fl, PartitionPolynomial((q, q * form)))
+
+
+def leading_cancel(base, directions, seed):
+    """A degree-4 factor whose top form vanishes on the object: a form
+    vanishing on the object times a cubic, plus a quadric.  None when the
+    directions span R^4 (no form vanishes on the object)."""
+    form = vanishing_form(base, directions, (3, -1, 4, 1))
+    return None if form is None else form * dense_poly(3, seed) + dense_poly(2, seed + 1)
+
+
+direction_lists = st.sampled_from([1, 2, 4]).flatmap(
+    lambda k: st.lists(nonzero_vectors, min_size=k, max_size=k)
+)
+
+
+@ORACLE
+@given(ps=st.lists(polys(4, max_degree=6), max_size=4), base=vectors, directions=direction_lists)
+# Degrees 6, 1, 3 and 0 on a plane: the lower-degree results are packed
+# with the top degree's stride, 7, not their own.
+@example(
+    ps=[dense_poly(6, 7), dense_poly(1, 8), dense_poly(3, 9)],
+    base=(F(1, 2), -3, 0, 5),
+    directions=[(1, 0, 2, -1), (0, F(1, 3), -3, 4)],
+)
+@example(
+    ps=[dense_poly(2, 10), dense_poly(5, 11)],
+    base=(4, -1, 2, 0),
+    directions=[(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)],
+)
+def test_plural_substitution_matches_single(ps, base, directions):
+    """One lift for a mixed list equals one call per polynomial, with a
+    zero polynomial, a constant and a factor whose leading terms cancel
+    on the object among the list."""
+    mixed = [*ps, SparsePoly.zero(4), SparsePoly.constant(4, F(-7, 3))]
+    cancel = leading_cancel(base, directions, len(ps))
+    if cancel is not None:
+        mixed.insert(len(ps) // 2, cancel)
+    got = compose_affine_all(mixed, base, directions)
+    assert len(got) == len(mixed)
+    for p, g in zip(mixed, got):
+        assert_same(g, compose_affine(p, base, directions))
+    if cancel is not None:
+        assert got[mixed.index(cancel)].degree < cancel.degree
+    if len(directions) == 1:
+        # One parameter: packed keys are the powers of t whatever the stride.
+        kernel = _substitution(mixed, base, directions)
+        assert kernel == [_substitution((p,), base, directions)[0] for p in mixed]
+        ln = SimpleNamespace(base=base, direction=directions[0])
+        assert restrict_all_to_line(mixed, ln) == [restrict_to_line(p, ln) for p in mixed]
+
+
+def test_plural_substitution_rejects_mixed_nvars():
+    p4 = SparsePoly(4, {(1, 0, 0, 0): 1})
+    p2 = poly2({(0, 1): 1})
+    with pytest.raises(ValueError):
+        _substitution([p4, p2], (0, 0, 0, 0), ((1, 0, 0, 0),))
+    with pytest.raises(ValueError):
+        compose_affine_all([p2, p4], (0, 0), ((1, 0),))
+
+
+def test_plural_substitution_of_nothing():
+    assert _substitution([], (0, 0, 0, 0), ((1, 0, 0, 0),)) == []
+    assert compose_affine_all([], (0, 0), ((1, 0), (0, 1))) == []
 
 
 def unit_axes(n):
