@@ -534,7 +534,6 @@ class TotalAndDominance:
     ratio: RationalInterval
     parts: Mapping[str, BoundResult]
     dominance_ok: bool
-    max_part_ratio: Fraction
 
 
 @functools.lru_cache(maxsize=256)
@@ -566,13 +565,7 @@ def eval_total_and_dominance(p: BoundParams, c: ConstantsProfile) -> TotalAndDom
     for r in parts.values():
         total_iv = total_iv + r.value
     ratio = total_iv / main.value
-    max_ratio = Fraction(0)
-    dominance_ok = True
-    for r in parts.values():
-        part_ratio = r.value.hi / main.value.lo
-        max_ratio = max(max_ratio, part_ratio)
-        if r.value.hi > DOMINANCE_CONSTANT * main.value.lo:
-            dominance_ok = False
+    dominance_ok = all(r.value.hi <= DOMINANCE_CONSTANT * main.value.lo for r in parts.values())
     failed = [name for name, r in parts.items() if not r.hypothesis_satisfied]
     hyp_ok = not failed and main.hypothesis_satisfied
     detail_bits = []
@@ -581,9 +574,7 @@ def eval_total_and_dominance(p: BoundParams, c: ConstantsProfile) -> TotalAndDom
     if not main.hypothesis_satisfied:
         detail_bits.append(main.hypothesis_detail)
     total = BoundResult(total_iv, hyp_ok, "; ".join(detail_bits) or "all side conditions met")
-    return TotalAndDominance(
-        total, main, ratio, MappingProxyType(parts), dominance_ok, max_ratio
-    )
+    return TotalAndDominance(total, main, ratio, MappingProxyType(parts), dominance_ok)
 
 
 def binomial_truncation_gap(S: int, G2) -> RationalInterval:

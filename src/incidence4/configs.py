@@ -36,6 +36,7 @@ from .flats import (
 )
 
 REJECTION_BUDGET = 20_000
+STAR_COORDINATE_RANGE = 1000  # directions of star lines and planes, per coordinate
 
 
 class RangeTooSmallError(ValueError):
@@ -206,7 +207,6 @@ def gen_star(
     num_planes: int,
     center=(0, 0, 0, 0),
     seed: int | None = None,
-    coordinate_range: int = 1000,
 ) -> ConfigurationSet:
     """All lines and planes through one center, no line inside any plane.
 
@@ -218,14 +218,14 @@ def gen_star(
     m, p = common_denominator(c)
 
     def draw_plane():
-        u, v = _draw_span(rng, coordinate_range)
-        _draw_vec(rng, coordinate_range)  # drawn and discarded, as `_draw_plane` draws a base
+        u, v = _draw_span(rng, STAR_COORDINATE_RANGE)
+        _draw_vec(rng, STAR_COORDINATE_RANGE)  # drawn and discarded, as `_draw_plane` draws a base
         return Flat2(p, u, v, den=m)
 
     planes = _fill_distinct(num_planes, draw_plane, "planes")
 
     def draw_line():
-        d = _draw_nonzero(rng, coordinate_range)
+        d = _draw_nonzero(rng, STAR_COORDINATE_RANGE)
         ln = Line4(p, d, den=m)
         for pl in planes:
             if all(vdot(n, d) == 0 for n, _ in pl.equations):

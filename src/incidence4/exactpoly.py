@@ -18,16 +18,21 @@ and each is exact because it only multiplies by positive constants:
                   product of that row with f's integer coefficients is
                   f(P/m) times the positive m^K times the scale; f of
                   degree D < K meets only the row's prefix up to D.
-                  These rows and their dot products are Python ints.
-                  The bisection search's score columns take the word
-                  path (`_int_matrix`, `_lift_matrix`, `_dots`): int
+                  Every row set is one 2-D numpy matrix, lifted by
+                  `_lift_matrix` with one `np.multiply` per monomial in
+                  the dtype of its point matrix (`_point_matrix`).
+                  These rows are an object matrix of Python ints, and
+                  their dot products (`_dots`) are Python ints.  Only
+                  the bisection search's score columns take int64: int
                   points whose lift provably fits a machine word
-                  (max|x|^K < 2^63) are lifted in numpy int64, one
-                  `np.multiply` per monomial, and a dot product runs in
-                  int64 only when max|row| * sum|coefficients| < 2^63,
-                  so no partial sum can overflow; every bound is taken
-                  in Python ints, and every other row or product is
-                  summed in Python ints.  Results leave as Python ints.
+                  (max|x|^K < 2^63) are lifted in int64, and a dot
+                  product runs in int64 only when max|row| *
+                  sum|coefficients| < 2^63, so no partial sum can
+                  overflow; every bound is taken in Python ints, and
+                  rows past it become Python ints before the product.
+                  Every other search set is an object matrix of its
+                  exact ints and Fractions.  Results leave as Python
+                  ints (or Fractions, for Fraction search points).
   substitution    p(base + sum_k t_k*dir_k) for each p of a list of
                   polynomials in one number of variables, at most 4
                   (`_substitution`).  Base and directions are cleared to
@@ -114,7 +119,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -403,20 +407,6 @@ def _lift_plan(exps) -> tuple[tuple[int, int], ...]:
     return tuple(plan)
 
 
-def _lift_rows(points, exps) -> list[list]:
-    """[1, monomials...] of each point: the Veronese lift with a leading
-    1, one multiplication per monomial; native ints stay ints."""
-    plan = _lift_plan(exps)
-    rows = []
-    for point in points:
-        row = [1]
-        append = row.append
-        for parent, var in plan:
-            append(row[parent] * point[var])
-        rows.append(row)
-    return rows
-
-
 _WORD = 2**63  # int64 holds exactly the integers of absolute value below this
 
 
@@ -426,29 +416,31 @@ def _max_abs(a) -> int:
     return max(-int(a.min()), int(a.max()))
 
 
-def _int_matrix(points, degree: int, offset: int = 0):
-    """The points as an (n, d) int64 matrix when every coordinate is an
+def _point_matrix(points, degree: int, offset: int = 0):
+    """The points as an (n, d) matrix: int64 when every coordinate is an
     integer and (max|x| + offset)^degree < 2^63, so that the degree-
     `degree` lift of the points moved by at most `offset` per coordinate
-    fits a machine word; otherwise None.  numpy makes an int64 array only
-    of integers that fit one (Fractions give an object array, wider ints
-    an object or float one)."""
-    if not points or any(isinstance(v, Fraction) for v in points[0]):
-        return None  # numpy would only build an object array
+    fits a machine word; otherwise an object matrix of the `_exact`
+    coordinates, ints and Fractions (numpy makes an int64 array only of
+    integers that fit one; Fractions give an object array, wider ints an
+    object or float one).  An empty point list gives a (0, 4) int64
+    matrix: no rows, in the lab's four coordinates."""
+    if not len(points):
+        return np.empty((0, 4), dtype=np.int64)
     x = np.array(points)
-    if x.dtype != np.int64 or x.ndim != 2:
-        return None
-    if (_max_abs(x) + offset) ** degree >= _WORD:
-        return None
-    return x
+    if x.dtype == np.int64 and (_max_abs(x) + offset) ** degree < _WORD:
+        return x
+    return np.array([[_exact(v) for v in p] for p in points], dtype=object)
 
 
 def _lift_matrix(x, exps):
-    """`_lift_rows` of an int64 point matrix from `_int_matrix`, one
-    `np.multiply` per monomial; each entry is a lift entry, so the
-    bound checked there keeps every product exact."""
+    """[1, monomials...] of each row of the point matrix `x`: the
+    Veronese lift with a leading 1, one `np.multiply` per monomial, in
+    the dtype of `x`.  An int64 `x` comes from `_point_matrix`, whose
+    bound keeps every product exact; an object `x` multiplies its ints
+    and Fractions exactly."""
     plan = _lift_plan(exps)
-    cols = np.empty((len(plan) + 1, x.shape[0]), dtype=np.int64)
+    cols = np.empty((len(plan) + 1, x.shape[0]), dtype=x.dtype)
     cols[0] = 1
     xt = x.T
     for k, (parent, var) in enumerate(plan, start=1):
@@ -456,40 +448,37 @@ def _lift_matrix(x, exps):
     return np.ascontiguousarray(cols.T)
 
 
-def _dots(rows, vec) -> list[int]:
-    """The dot product of each row with the int vector `vec` (a row
-    prefix), as Python ints.  An int64 matrix of rows multiplies in int64
-    when max|row| * sum|vec| < 2^63, which bounds every partial sum;
-    any other rows are summed in Python ints."""
-    if isinstance(rows, np.ndarray):
-        if not len(rows):
-            return []
-        rows = rows[:, : len(vec)]
-        if max(_max_abs(rows), 1) * sum(map(abs, vec)) < _WORD:
-            return (rows @ np.array(vec, dtype=np.int64)).tolist()
-        rows = rows.tolist()
-    return [sum(map(mul, vec, row)) for row in rows]
+def _dots(rows, vec) -> list:
+    """The dot product of each row of the matrix `rows` with the int
+    vector `vec` (a row prefix), as Python ints (or Fractions, for
+    Fraction rows).  int64 rows multiply in int64 when max|row| * sum|vec|
+    < 2^63, which bounds every partial sum; past that bound they become
+    Python ints first."""
+    if not len(rows):
+        return []
+    rows = rows[:, : len(vec)]
+    if rows.dtype == np.int64 and max(_max_abs(rows), 1) * sum(map(abs, vec)) >= _WORD:
+        rows = rows.astype(object)
+    return (rows @ np.array(vec, dtype=rows.dtype)).tolist()
 
 
-def _homogeneous_rows(points, degree: int) -> list[list[int]]:
-    """One integer row per point, in the order of
-    `_lift_rows(., monomial_exponents(degree, nvars))`: the entry for e is
-    m^(degree - |e|) * P^e, with the point cleared to P/m (m > 0).  For
-    an int point m = 1 and the row is its plain lift."""
+def _homogeneous_rows(points, degree: int):
+    """One integer row per point, an object matrix in the order of
+    `_lift_matrix(., monomial_exponents(degree, nvars))`: the entry for e
+    is m^(degree - |e|) * P^e, with the point cleared to P/m (m > 0).
+    For an int point m = 1 and the row is its plain lift."""
     if not {type(v) for p in points for v in p} <= {int, Fraction}:
         points = [tuple(map(_exact, p)) for p in points]  # numpy integers
-    cleared = [common_denominator(p) for p in points]
-    if not cleared:
-        return []
-    exps = monomial_exponents(degree, len(cleared[0][1]))
-    rows = _lift_rows([nums for _, nums in cleared], exps)
-    gaps = [degree] + [degree - sum(e) for e in exps]
-    mpows = {}
-    for (m, _), row in zip(cleared, rows):
-        if m != 1:
-            if m not in mpows:
-                mpows[m] = [m**g for g in gaps]
-            row[:] = map(mul, row, mpows[m])
+    if not points:
+        return np.empty((0, 0), dtype=object)
+    ms, nums = zip(*map(common_denominator, points))
+    x = np.array(nums, dtype=object)
+    exps = monomial_exponents(degree, x.shape[1])
+    rows = _lift_matrix(x, exps)
+    if any(m != 1 for m in ms):
+        gaps = [degree] + [degree - sum(e) for e in exps]
+        mpows = np.array(ms, dtype=object)[:, None] ** np.arange(degree + 1)
+        rows *= mpows[:, gaps]
     return rows
 
 
@@ -1094,8 +1083,9 @@ class IsolatedRoot:
     `coeffs` holds the polynomial (primitive, lowest degree first).
     Either lo == hi and the root is that exact rational, or
     `lo < root < hi` with the polynomial nonzero of opposite signs at lo
-    and hi; `lo_sign` carries the sign at lo (0 for an exact root), so no
-    step re-evaluates it.
+    and hi; `lo_sign` carries the sign at lo, 0 exactly for an exact root
+    (interval endpoints are never roots), so no step re-evaluates it and
+    `is_exact` reads it.
     """
 
     coeffs: tuple[int, ...]
@@ -1105,7 +1095,7 @@ class IsolatedRoot:
 
     @property
     def is_exact(self) -> bool:
-        return self.lo == self.hi
+        return self.lo_sign == 0
 
     def compare_to(self, c) -> int:
         """-1, 0, +1 for root <, =, > the rational c."""

@@ -18,11 +18,13 @@ input coordinates by the integer substitution kernel
 (`exactpoly.compose_affine`); no Fraction polynomial product runs.  The
 same kernel restricts all factors to a line or 2-flat through one lift
 of the object.
-Int point sets whose shifted lift provably fits a machine word are
-shifted, lifted and scored in numpy int64 by the kernel's word path
-(`_int_matrix`, `_lift_matrix`, `_dots`), and the numeric search reads
-a float copy of those rows; every score reaches the sweep as a Python
-int.
+Every lifted row set is a 2-D numpy matrix (`_point_matrix`,
+`_lift_matrix`, `_dots`).  Int point sets whose shifted lift provably
+fits a machine word are shifted, lifted and scored in int64; every other
+set, and every row of the sign kernel, is an object matrix of exact ints
+and Fractions.  The numeric search reads one float copy of each active
+set's rows, and every score reaches the sweep as a Python int or
+Fraction.
 
 Cells are sign vectors of the factors rather than true connected
 components; sign cells refine components, so per-cell point counts are
@@ -46,10 +48,8 @@ from .exactpoly import (
     _dots,
     _exact,
     _homogeneous_rows,
-    _int_matrix,
     _lift_matrix,
-    _lift_rows,
-    _max_abs,
+    _point_matrix,
     _row_signs,
     clear_denominators,
     compose_affine,
@@ -218,13 +218,6 @@ def _try_sweep(columns_per_set, caps, exps, template):
     return SparsePoly(4, terms)
 
 
-def _coordinate_max(z) -> float:
-    """max |x| over the coordinates of a point set, as a float."""
-    if isinstance(z, np.ndarray):
-        return float(_max_abs(z))
-    return max(abs(float(x)) for p in z for x in p)
-
-
 _AXES = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
@@ -245,12 +238,12 @@ def ham_sandwich_bisect(
 
     The search runs on points centred at an integer shift; a set is
     shifted and lifted in int64 when (max|x| + max|shift|)^degree < 2^63
-    and in Python ints otherwise.  Each template -- unit directions
-    first, then the rationalised directions of a damped Newton iteration
-    that anchors every set's feasible score band at a common level, and
-    the exact anchor-interpolation directions -- goes through one
-    `sweep_attempt`: a template is swept once, its threshold is
-    certified by exact arithmetic on the score columns (`_dots`), and
+    and in exact Python ints and Fractions otherwise.  Each template --
+    unit directions first, then the rationalised directions of a damped
+    Newton iteration that anchors every set's feasible score band at a
+    common level, and the exact anchor-interpolation directions -- goes
+    through one `sweep_attempt`: a template is swept once, its threshold
+    is certified by exact arithmetic on the score columns (`_dots`), and
     the certified factor is shifted back exactly.  Raises
     SearchBudgetError when no candidate certifies.
     """
@@ -276,17 +269,10 @@ def ham_sandwich_bisect(
     else:
         shift = (0, 0, 0, 0)
     offset = max(map(abs, shift))
-    zsets, lifted_sets = [], []
+    lifted_sets = []
     for s in sets:
-        x = _int_matrix(s, degree, offset)
-        if x is None:
-            z = [tuple(_exact(v) - mu for v, mu in zip(p, shift)) for p in s]
-            lifted = _lift_rows(z, exps)
-        else:
-            z = x - np.array(shift, dtype=np.int64)
-            lifted = _lift_matrix(z, exps)
-        zsets.append(z)
-        lifted_sets.append(lifted)
+        x = _point_matrix(s, degree, offset)
+        lifted_sets.append(_lift_matrix(x - np.array(shift, dtype=x.dtype), exps))
     back = tuple(-mu for mu in shift)
     tried: set[tuple] = set()
 
@@ -314,9 +300,12 @@ def ham_sandwich_bisect(
     active = [i for i, s in enumerate(sets) if len(s) > caps[i]]
     if not active:
         raise SearchBudgetError("sweeps failed on constraint-free input")
-    scale = max(1.0, *(_coordinate_max(zsets[i]) for i in active))
+    # Columns 1-4 of a lift are the shifted coordinates; rounding to
+    # float is monotone, so this is max|x| over them, rounded.
+    raw = [lifted_sets[i].astype(np.float64) for i in active]
+    scale = max(1.0, *(float(np.abs(r[:, 1:5]).max()) for r in raw))
     mono_scale = [1.0] + [scale ** sum(e) for e in exps]
-    phi = [np.array(lifted_sets[i], dtype=np.float64) / mono_scale for i in active]
+    phi = [r / mono_scale for r in raw]
     caps_active = [caps[i] for i in active]
     nprng = np.random.default_rng(rng.randrange(2**32))
 
@@ -535,16 +524,19 @@ _LATTICE = (233, 610, 987)  # Fibonacci rank-1 lattice: even 2-D coverage at sma
 
 
 @lru_cache(maxsize=None)
-def _lattice_rows(sample_budget: int, degree: int) -> tuple[tuple[int, ...], ...]:
+def _lattice_rows(sample_budget: int, degree: int) -> np.ndarray:
     """Homogeneous rows of degree `degree` (`_homogeneous_rows`) of the
     first `sample_budget` rational lattice points in [-16, 16]^2, built
-    once per (sample_budget, degree) and shared by every 2-flat."""
+    once per (sample_budget, degree) and shared, read-only, by every
+    2-flat."""
     g1, g2, q = _LATTICE
     samples = [
         (Fraction(32 * (i * g1 % q), q) - 16, Fraction(32 * (i * g2 % q), q) - 16)
         for i in range(1, sample_budget + 1)
     ]
-    return tuple(map(tuple, _homogeneous_rows(samples, degree)))
+    rows = _homogeneous_rows(samples, degree)
+    rows.flags.writeable = False
+    return rows
 
 
 def flat2_crossing_stats(

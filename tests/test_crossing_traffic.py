@@ -19,6 +19,7 @@ from fractions import Fraction as F
 from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from incidence4 import partition
@@ -137,11 +138,16 @@ def test_lattice_rows_cold_and_warm(stored, monkeypatch):
 
 
 def test_lattice_rows_are_immutable_and_exact(stored):
-    """The cached rows are tuples, and scoring on them counts what the
-    sign kernel counts on freshly lifted lattice points."""
+    """The cached rows are a read-only matrix of Python ints, and scoring
+    on them counts what the sign kernel counts on freshly lifted lattice
+    points."""
     part, _, flats = stored
     rows = partition._lattice_rows(128, 6)
-    assert isinstance(rows, tuple) and all(isinstance(r, tuple) for r in rows)
+    assert isinstance(rows, np.ndarray) and rows.dtype == object and rows.shape[0] == 128
+    assert not rows.flags.writeable
+    with pytest.raises(ValueError):
+        rows[0, 0] = 0
+    assert all(type(v) is int for v in rows.ravel())
     g1, g2, q = partition._LATTICE
     for budget in (128, 96):
         samples = [

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from incidence4.exactpoly import ZERO, SparsePoly, _lift_rows, monomial_exponents, poly4, sign
+from incidence4.exactpoly import ZERO, SparsePoly, monomial_exponents, poly4, sign
 from incidence4.flats import Flat2, Line4
 from incidence4.partition import (
     FlatInZeroSetError,
@@ -29,12 +29,13 @@ from incidence4.partition import (
     round_cell_bound,
     _try_sweep,
 )
+from test_partition_rows import power_product_lift
 
 
 def veronese_lift(point, degree):
-    """Monomial coordinates (degree 1..degree): the lift the bisection uses."""
-    (row,) = _lift_rows([point], monomial_exponents(degree, 4))
-    return row[1:]
+    """Monomial coordinates (degree 1..degree) in the order the bisection
+    lifts them, from the power-product reference."""
+    return power_product_lift(point, monomial_exponents(degree, 4))[1:]
 
 
 class TestVeroneseLift:

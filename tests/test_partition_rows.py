@@ -1,7 +1,8 @@
 """Each point lifted once: the rows behind the sign kernel of `exactpoly`.
 
-`exactpoly._lift_rows` builds each monomial as an earlier monomial times
-one variable, and `_dense_coefficients` lays a polynomial's integer
+`exactpoly._lift_matrix` builds each monomial column as an earlier one
+times one variable, in the dtype of the point matrix from
+`_point_matrix`, and `_dense_coefficients` lays a polynomial's integer
 coefficients out in the same order; the reference for both is the direct
 power product of every coordinate.  `_homogeneous_rows` clears every
 point once to P/m and lifts it once; a polynomial's sign at the point is
@@ -27,7 +28,8 @@ from incidence4.exactpoly import (
     SparsePoly,
     _dense_coefficients,
     _homogeneous_rows,
-    _lift_rows,
+    _lift_matrix,
+    _point_matrix,
     _row_signs,
     monomial_exponents,
     sign,
@@ -77,9 +79,10 @@ def row_sign(f, point, top: int) -> int:
 def test_lift_matches_power_products(data, nvars, degree):
     point = data.draw(points(nvars))
     exps = monomial_exponents(degree, nvars)
-    (lifted,) = _lift_rows([point], exps)
+    (lifted,) = _lift_matrix(_point_matrix([point], degree), exps).tolist()
     assert lifted == power_product_lift(point, exps)
-    assert all(type(v) is int for v in lifted) == all(type(x) is int for x in point)
+    # an integral Fraction coordinate is lifted as an int
+    assert all(type(v) is int for v in lifted) == all(F(x).denominator == 1 for x in point)
 
 
 def test_monomial_counts():
@@ -99,7 +102,7 @@ def test_rows_are_homogenised_lifts(data, nvars, degree):
     exps = monomial_exponents(degree, nvars)
     gaps = [degree] + [degree - sum(e) for e in exps]
     expected = [v * m**g for v, g in zip(power_product_lift(scaled, exps), gaps)]
-    assert row == expected
+    assert row.tolist() == expected
     assert all(type(v) is int for v in row)
 
 

@@ -73,6 +73,7 @@ def check_isolation(roots, poly) -> None:
     `poly` are below lo and k+1 are at most hi."""
     assert len(roots) == poly.count_roots()
     for k, r in enumerate(roots):
+        assert r.is_exact == (r.lo == r.hi)
         if r.is_exact:
             assert r.lo_sign == 0
             assert poly.eval(rational(r.lo)) == 0
@@ -91,7 +92,11 @@ def test_isolation_matches_sympy(f):
     if f.degree == 0:
         assert isolate_real_roots(f) == []
         return
-    check_isolation(isolate_real_roots(f), to_sympy(f))
+    roots = isolate_real_roots(f)
+    check_isolation(roots, to_sympy(f))
+    for _ in range(3):
+        roots = [r.refined() for r in roots]
+        check_isolation(roots, to_sympy(f))
 
 
 @ORACLE

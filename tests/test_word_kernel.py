@@ -1,15 +1,15 @@
 """The machine-word path of the sign kernel against Python-int references.
 
-The bisection search lifts int points in numpy int64 and multiplies
-int64 rows by integer vectors only under an a-priori bound: max|x|^K <
-2^63 for a lift, max|row| * sum|vec| < 2^63 for a dot product.
-Everything else is summed in Python ints.  The oracles here compare
-`_dots` and `_row_signs` on int64 rows, and `sign_vectors`, with plain
-Python-int sums (and Fraction evaluation)
-at magnitudes drawn on both sides of those bounds; the forced cases put
-each fallback on a value where int64 arithmetic would wrap.  The last
-tests check that no numpy integer leaves the kernel or the bisection
-search for exact code.
+Every row set is a 2-D numpy matrix.  The bisection search lifts int
+points in int64 and multiplies int64 rows by integer vectors only under
+an a-priori bound: max|x|^K < 2^63 for a lift, max|row| * sum|vec| <
+2^63 for a dot product.  Every other matrix holds exact Python ints and
+Fractions (dtype object).  The oracles here compare `_dots` and
+`_row_signs` on int64 rows, and `sign_vectors`, with plain Python-int
+sums (and Fraction evaluation) at magnitudes drawn on both sides of
+those bounds; the forced cases put each fallback on a value where int64
+arithmetic would wrap.  The last tests check that no numpy integer
+leaves the kernel or the bisection search for exact code.
 """
 
 import math
@@ -25,10 +25,9 @@ from incidence4.exactpoly import (
     SparsePoly,
     _dots,
     _homogeneous_rows,
-    _int_matrix,
     _lift_matrix,
-    _lift_rows,
     _max_abs,
+    _point_matrix,
     _row_signs,
     monomial_exponents,
     rat,
@@ -41,6 +40,7 @@ from incidence4.partition import (
     build_partition,
     ham_sandwich_bisect,
 )
+from test_partition_rows import power_product_lift
 
 WORD = 2**63
 ORACLE = settings(max_examples=150, deadline=None)
@@ -108,9 +108,9 @@ def test_signs_near_the_lift_bound(data, nvars, degree):
     f = data.draw(sparse_polys(nvars, degree, data.draw(st.integers(0, 40))))
     g = data.draw(sparse_polys(nvars, max(1, degree - 1), 3))
     exps = monomial_exponents(degree, nvars)
-    x = _int_matrix(pts, degree)
-    rows = _homogeneous_rows(pts, degree) if x is None else _lift_matrix(x, exps)
-    python_rows = _lift_rows(pts, exps)
+    x = _point_matrix(pts, degree)
+    rows = _lift_matrix(x, exps) if x.dtype == np.int64 else _homogeneous_rows(pts, degree)
+    python_rows = [power_product_lift(p, exps) for p in pts]
     vec = exactpoly._dense_coefficients(f)
     assert _dots(rows, vec) == python_dots(python_rows, vec)
     signs = _row_signs(f, rows)
@@ -140,10 +140,9 @@ def test_vector_past_the_bound_is_summed_exactly():
 def test_lift_at_the_word_bound(degree):
     b = word_root(degree)
     assert b**degree < WORD <= (b + 1) ** degree
-    fits = _int_matrix([(b, -b, 1, 0)], degree)
-    assert fits is not None and fits.dtype == np.int64
-    assert _int_matrix([(b + 1, 0, 0, 0)], degree) is None
-    assert _int_matrix([(0, 0, 0, -b - 1)], degree) is None
+    assert _point_matrix([(b, -b, 1, 0)], degree).dtype == np.int64
+    assert _point_matrix([(b + 1, 0, 0, 0)], degree).dtype == object
+    assert _point_matrix([(0, 0, 0, -b - 1)], degree).dtype == object
     (row,) = _homogeneous_rows([(b + 1, 0, 0, 0)], degree)
     assert row[monomial_exponents(degree, 4).index((degree, 0, 0, 0)) + 1] == (b + 1) ** degree
     assert all_int(row)
@@ -151,8 +150,9 @@ def test_lift_at_the_word_bound(degree):
 
 def test_lift_past_the_bound_keeps_2_to_the_64():
     exps = monomial_exponents(2, 4)
-    (row,) = _homogeneous_rows([(2**32, 1, 1, 1)], 2)
-    assert isinstance(row, list)
+    rows = _homogeneous_rows([(2**32, 1, 1, 1)], 2)
+    assert rows.dtype == object
+    (row,) = rows
     assert row[exps.index((2, 0, 0, 0)) + 1] == 2**64
 
 
@@ -162,7 +162,7 @@ def test_coordinate_minus_2_to_the_63():
     assert np.abs(x)[0] == -(2**63)  # the wrap the kernel must not rely on
     assert _max_abs(x) == 2**63
     point = (-(2**63), 0, 0, 0)
-    assert _int_matrix([point], 1) is None
+    assert _point_matrix([point], 1).dtype == object
     # x1 - 1 at -2^63 is -2^63 - 1, which wraps to 2^63 - 1 in int64
     f = SparsePoly(4, {(1, 0, 0, 0): 1, (0, 0, 0, 0): -1})
     assert sign_vectors((f,), [point]) == [(-1,)]
@@ -178,22 +178,18 @@ def test_set_whose_shifted_coordinates_overflow(monkeypatch):
     near = [(a + i, i - 3, i % 2, 0) for i in range(7)]
     far = [(-c - i, i - 1, 0, i) for i in range(3)]
     lifted = []
-    lift_matrix, lift_rows = partition._lift_matrix, partition._lift_rows
+    lift_matrix = partition._lift_matrix
 
     def matrix_spy(z, exps):
-        lifted.append(("word", len(z)))
+        lifted.append((z.dtype.name, len(z)))
+        if z.dtype == object:
+            assert all_int(z.ravel())
+            assert min(z[:, 0]) < -(2**63)
         return lift_matrix(z, exps)
 
-    def rows_spy(z, exps):
-        lifted.append(("python", len(z)))
-        assert all(all_int(p) for p in z)
-        assert min(p[0] for p in z) < -(2**63)
-        return lift_rows(z, exps)
-
     monkeypatch.setattr(partition, "_lift_matrix", matrix_spy)
-    monkeypatch.setattr(partition, "_lift_rows", rows_spy)
     h = ham_sandwich_bisect([near, far], 1, 0)
-    assert lifted == [("word", 7), ("python", 3)]
+    assert lifted == [("int64", 7), ("object", 3)]
     for s in (near, far):
         values = [h.eval(p) for p in s]
         cap = math.ceil(len(s) / 2)
@@ -212,6 +208,59 @@ def test_fraction_and_mixed_points():
         values = [h.eval(p) for p in s]
         cap = math.ceil(len(s) / 2)
         assert sum(v > 0 for v in values) <= cap and sum(v < 0 for v in values) <= cap
+
+
+# ---------------------------------------------------------------------------
+# One row type
+# ---------------------------------------------------------------------------
+
+ROW_SETS = {
+    "int": [(1, 2, 3, 4), (0, 5, 6, 7)],
+    "negative": [(-1, -2, 3, -4), (-50, 0, 0, -9)],
+    "fraction": [(F(1, 3), F(-5, 2), F(6, 3), 0), (F(7, 4), 1, 2, 3)],
+    "mixed": [(1, 2, 3, 4), (F(1, 3), 2, F(-5, 2), 0)],
+    "numpy-int": [(np.int64(3), np.int32(-1), 1, 1), (np.int64(2**40), 0, 1, 2)],
+    "past-the-bound": [(2**63, -1, 0, 0), (-(2**70), 1, 1, 1)],
+}
+
+
+@pytest.mark.parametrize("degree", [1, 3])
+@pytest.mark.parametrize("name", ROW_SETS)
+def test_row_matrices_are_int64_or_exact_objects(name, degree):
+    """Points, lifts and homogeneous rows are 2-D int64 or object
+    matrices; an object one holds no numpy scalar.  The points go to
+    int64 exactly when they are integral and max|x|^degree < 2^63, and
+    the sign kernel's rows stay object even then."""
+    pts = ROW_SETS[name]
+    exact = [tuple(rat(v) for v in p) for p in pts]
+    exps = monomial_exponents(degree, 4)
+    x = _point_matrix(pts, degree)
+    lifted = _lift_matrix(x, exps)
+    rows = _homogeneous_rows(pts, degree)
+    for a in (x, lifted, rows):
+        assert a.ndim == 2 and a.shape[0] == len(pts) and a.dtype in (np.int64, object)
+        if a.dtype == object:
+            assert not any(isinstance(v, np.generic) for v in a.ravel())
+    integral = all(v.denominator == 1 for p in exact for v in p)
+    fits = integral and max(abs(v) for p in exact for v in p) ** degree < WORD
+    assert (x.dtype == np.int64) == fits
+    assert lifted.dtype == x.dtype and rows.dtype == object
+    assert lifted.tolist() == [power_product_lift(p, exps) for p in exact]
+
+
+def test_int64_lift_dotted_past_the_bound():
+    """An int64 lift dotted with a vector past the dot bound gives the
+    power-product sums, as Python ints."""
+    b = word_root(3)
+    pts = [(b, -b, 1, 0), (-b, 2, b, 3)]
+    exps = monomial_exponents(3, 4)
+    rows = _lift_matrix(_point_matrix(pts, 3), exps)
+    assert rows.dtype == np.int64
+    vec = [3, -(2**20), 7] + [2**40] * (len(exps) - 2)
+    assert _max_abs(rows) * sum(map(abs, vec)) >= WORD
+    got = _dots(rows, vec)
+    assert got == python_dots([power_product_lift(p, exps) for p in pts], vec)
+    assert all_int(got)
 
 
 # ---------------------------------------------------------------------------
