@@ -177,6 +177,12 @@ def _fill_distinct(
 # Generators
 # ---------------------------------------------------------------------------
 
+def _check_range(coordinate_range: int) -> None:
+    """Generic and planted draws need a coordinate range of at least 2."""
+    if coordinate_range < 2:
+        raise RangeTooSmallError("coordinate_range must be at least 2")
+
+
 def gen_generic(
     num_lines: int,
     num_planes: int,
@@ -189,8 +195,7 @@ def gen_generic(
     the result has no point incidences and no containments (the suite
     verifies this exactly for its pinned seeds rather than statistically).
     """
-    if coordinate_range < 2:
-        raise RangeTooSmallError("coordinate_range must be at least 2")
+    _check_range(coordinate_range)
     rng = random.Random(seed)
     lines = _fill_distinct(num_lines, lambda: _draw_line(rng, coordinate_range), "lines")
     planes = _fill_distinct(num_planes, lambda: _draw_plane(rng, coordinate_range), "planes")
@@ -255,9 +260,10 @@ def gen_planted(spec: GeneratorSpec, seed: int | None = None):
         GeneratorKind.MIXED,
     ):
         raise InvariantViolationError(f"gen_planted cannot build kind {spec.kind}")
+    _check_range(spec.coordinate_range)
     rng = random.Random(seed)
     bound = spec.coordinate_range
-    small = max(2, min(bound, 50))
+    small = min(bound, 50)
 
     want_flat = spec.kind in (GeneratorKind.PLANTED_RICH_FLAT, GeneratorKind.MIXED)
     want_hyp = spec.kind in (GeneratorKind.PLANTED_RICH_HYPERPLANE, GeneratorKind.MIXED)
@@ -455,10 +461,6 @@ def dumps_config(cfg: ConfigurationSet) -> str:
     )
 
 
-def save_config(cfg: ConfigurationSet, destination) -> None:
-    Path(destination).write_text(dumps_config(cfg), encoding="utf-8")
-
-
 def loads_config(text: str) -> ConfigurationSet:
     try:
         data = json.loads(text)
@@ -468,4 +470,8 @@ def loads_config(text: str) -> ConfigurationSet:
 
 
 def load_config(source) -> ConfigurationSet:
-    return loads_config(Path(source).read_text(encoding="utf-8"))
+    """The configuration at `source`; an unreadable file is a ParseError."""
+    try:
+        return loads_config(Path(source).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ParseError(f"cannot read configuration: {exc}") from exc

@@ -34,7 +34,7 @@ and each is exact because it only multiplies by positive constants:
                   exact ints and Fractions.  Results leave as Python
                   ints (or Fractions, for Fraction search points).
   substitution    p(base + sum_k t_k*dir_k) for each p of a list of
-                  polynomials in one number of variables, at most 4
+                  polynomials in one number of variables
                   (`_substitution`).  Base and directions are cleared to
                   one denominator M, giving the integer linear forms
                   B_i + sum_k t_k*U_ki.  The monomials in these forms up
@@ -92,10 +92,11 @@ Representations:
 
   Rational    = fractions.Fraction (auto-canonical: positive denominator,
                 reduced; structural equality).
-  SparsePoly  = `integer_terms`, one (c_e, e, deg - |e|) per nonzero term
-                with coprime ints c_e and e padded to four variables,
-                and the scale `integer_scale`.  `terms`, the map from
-                exponent tuples to Fraction, is derived on first read.
+  SparsePoly  = `integer_coeffs`, coprime ints, one per monomial of
+                degree 0..deg in the graded order of a lifted row
+                (`_row_index`), zeros included, and `integer_scale`;
+                the sign kernel dots the vector with a row as stored.
+                `terms`, exponent tuple -> Fraction, is derived on first read.
   UniPoly     = `integer_coeffs`, coprime ints, lowest degree first, no
                 trailing zeros, and `integer_scale`; `coeffs`, the
                 Fraction tuple, is derived on first read.
@@ -180,14 +181,15 @@ def clear_denominators(values) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 class SparsePoly:
-    """Sparse polynomial in `nvars` <= 4 variables, stored as its
-    primitive integer form (see Representations in the module docstring).
+    """Polynomial in `nvars` variables, stored as its primitive integer
+    form (see Representations in the module docstring): a degree-6 factor
+    in 4 variables has C(6 + 4, 4) = 210 integer coefficients.
 
     Immutable by convention: nothing is changed after construction.  The
     Fraction coefficients `terms` are derived on first read and cached.
     """
 
-    __slots__ = ("nvars", "degree", "integer_terms", "integer_scale", "_terms")
+    __slots__ = ("nvars", "degree", "integer_coeffs", "integer_scale", "_terms")
 
     def __init__(self, nvars: int, terms: Mapping[tuple, object] | None = None):
         clean: dict[tuple, Fraction] = {}
@@ -200,23 +202,20 @@ class SparsePoly:
                 if len(e) != nvars or any(v < 0 for v in e):
                     raise ValueError(f"bad exponent tuple {expo!r} for {nvars} variables")
                 clean[e] = clean.get(e, ZERO) + c
-                if clean[e] == 0:
-                    del clean[e]
         m, nums = common_denominator(clean.values())
         self._store(nvars, dict(zip(clean, nums)), m)
 
     def _store(self, nvars: int, terms: Mapping[tuple, int], den) -> None:
-        if nvars > 4:
-            raise ValueError("SparsePoly supports at most 4 variables")
-        terms = {e: c for e, c in terms.items() if c}
-        g = math.gcd(*terms.values())
-        pad = (0,) * (4 - nvars)
         self.nvars = nvars
-        self.degree = max(map(sum, terms), default=-1)
-        self.integer_terms = tuple(
-            (c // g, e + pad, self.degree - sum(e)) for e, c in terms.items()
-        )
-        self.integer_scale = Fraction(den, g) if terms else ONE
+        self.degree = max((sum(e) for e, c in terms.items() if c), default=-1)
+        index = _row_index(self.degree, nvars)
+        vec = [0] * len(index)
+        for e, c in terms.items():
+            if c:
+                vec[index[e]] = c
+        g = math.gcd(*vec)
+        self.integer_coeffs = tuple(c // g for c in vec)
+        self.integer_scale = Fraction(den, g) if g else ONE
         self._terms = None
 
     # -- constructors -------------------------------------------------------
@@ -247,15 +246,15 @@ class SparsePoly:
 
     @property
     def is_zero(self) -> bool:
-        return not self.integer_terms
+        return not self.integer_coeffs
 
     @property
     def terms(self) -> dict[tuple, Fraction]:
         """Exponent tuple -> Fraction coefficient: each integer
         coefficient divided by `integer_scale`."""
         if self._terms is None:
-            k, n = self.integer_scale, self.nvars
-            self._terms = {e[:n]: c / k for c, e, _ in self.integer_terms}
+            k, index = self.integer_scale, _row_index(self.degree, self.nvars)
+            self._terms = {e: c / k for e, c in zip(index, self.integer_coeffs) if c}
         return self._terms
 
     def __eq__(self, other) -> bool:
@@ -263,11 +262,11 @@ class SparsePoly:
             isinstance(other, SparsePoly)
             and self.nvars == other.nvars
             and self.integer_scale == other.integer_scale
-            and set(self.integer_terms) == set(other.integer_terms)
+            and self.integer_coeffs == other.integer_coeffs
         )
 
     def __hash__(self) -> int:
-        return hash((self.nvars, self.integer_scale, frozenset(self.integer_terms)))
+        return hash((self.nvars, self.integer_scale, self.integer_coeffs))
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -393,17 +392,17 @@ def monomial_exponents(degree: int, nvars: int) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def _lift_plan(exps) -> tuple[tuple[int, int], ...]:
-    """(parent row index, variable) per monomial of `exps` (graded): row
-    entry k+1 is row[parent] * x[variable], the parent having one less
-    power of the first variable present (index 0 is the leading 1)."""
-    index = {(0,) * len(exps[0]): 0}
+    """(parent row index, variable) per monomial of `exps`, a
+    `monomial_exponents` list: row entry k+1 is row[parent] * x[variable],
+    the parent having one less power of the first variable present, at
+    its `_row_index` position (index 0 is the leading 1)."""
+    index = _row_index(sum(exps[-1]), len(exps[0]))
     plan = []
-    for k, e in enumerate(exps, start=1):
+    for e in exps:
         var = next(i for i, p in enumerate(e) if p)
         parent = list(e)
         parent[var] -= 1
         plan.append((index[tuple(parent)], var))
-        index[e] = k
     return tuple(plan)
 
 
@@ -453,9 +452,10 @@ def _dots(rows, vec) -> list:
     vector `vec` (a row prefix), as Python ints (or Fractions, for
     Fraction rows).  int64 rows multiply in int64 when max|row| * sum|vec|
     < 2^63, which bounds every partial sum; past that bound they become
-    Python ints first."""
-    if not len(rows):
-        return []
+    Python ints first.  An empty `vec`, the zero polynomial's, gives
+    zeros."""
+    if not len(rows) or not len(vec):
+        return [0] * len(rows)
     rows = rows[:, : len(vec)]
     if rows.dtype == np.int64 and max(_max_abs(rows), 1) * sum(map(abs, vec)) >= _WORD:
         rows = rows.astype(object)
@@ -484,34 +484,26 @@ def _homogeneous_rows(points, degree: int):
 
 @lru_cache(maxsize=None)
 def _row_index(degree: int, nvars: int) -> dict[tuple[int, ...], int]:
-    """Row position of each monomial of degree 0..degree, keyed by its
-    exponent padded to four variables, as `integer_terms` gives it."""
-    pad = (0,) * (4 - nvars)
-    exps = ((0,) * nvars,) + monomial_exponents(degree, nvars)
-    return {e + pad: k for k, e in enumerate(exps)}
-
-
-def _dense_coefficients(f: SparsePoly) -> list[int]:
-    """The primitive integer coefficients of f laid out at their row
-    positions, up to degree f: a prefix of a row of any higher degree."""
-    index = _row_index(max(f.degree, 1), f.nvars)
-    vec = [0] * len(index)
-    for c, e, _ in f.integer_terms:
-        vec[index[e]] = c
-    return vec
+    """Position of each monomial of degree 0..degree (none for degree -1)
+    in a lifted row and in `SparsePoly.integer_coeffs`: the constant,
+    then `monomial_exponents(degree, nvars)`."""
+    if degree < 0:
+        return {}
+    exps = ((0,) * nvars,) + (monomial_exponents(degree, nvars) if degree else ())
+    return {e: k for k, e in enumerate(exps)}
 
 
 def _row_signs(f: SparsePoly, rows) -> list[int]:
     """Sign of f at each point whose homogeneous row, of a degree
-    K >= deg f, is in `rows`: the dot product is f(P/m) times m^K and
-    the positive scale of `integer_terms`."""
-    return [(t > 0) - (t < 0) for t in _dots(rows, _dense_coefficients(f))]
+    K >= deg f, is in `rows`: the dot product with `integer_coeffs` is
+    f(P/m) times m^K and the positive `integer_scale`."""
+    return [(t > 0) - (t < 0) for t in _dots(rows, f.integer_coeffs)]
 
 
 def sign_vectors(polys: Sequence[SparsePoly], points) -> list[tuple[int, ...]]:
-    """Exact sign of each polynomial (at most 4 variables) at each point
-    of int / Fraction coordinates, in Python-int arithmetic: every point
-    is lifted once (see the module docstring)."""
+    """Exact sign of each polynomial at each point of int / Fraction
+    coordinates, in Python-int arithmetic: every point is lifted once
+    (see the module docstring)."""
     points = list(points)
     if not polys:
         return [()] * len(points)
@@ -735,17 +727,18 @@ def _substitution(
 ) -> list[tuple[dict[int, int], Fraction]]:
     """One (coeffs, den) per polynomial p: p(base + sum_k t_k*directions[k])
     is the integer polynomial `coeffs` divided by the positive rational
-    `den`, for polynomials in one number of variables, at most 4.  Every
-    `coeffs` is keyed by the packed exponent sum_k i_k*stride^k of
-    prod t_k^i_k, with the one stride K + 1 for the top degree K among
-    `polys`.  The zero polynomial gives ({}, 1).
+    `den`, for polynomials in one number of variables.  Every `coeffs` is
+    keyed by the packed exponent sum_k i_k*stride^k of prod t_k^i_k, with
+    the one stride K + 1 for the top degree K among `polys`.  The zero
+    polynomial gives ({}, 1).
 
     Integer arithmetic throughout (see the module docstring): the point
     is cleared to (B + sum_k t_k*U_k) / M, and the monomials up to K in
     the forms B_i + sum_k t_k*U_ki are lifted once along the sign
-    kernel's `_lift_plan`, each row its parent times one form; the rows
-    up to deg p are a prefix, and the sum over p's integer form of
-    c_e * M^(D-|e|) * row_e is p's result times den = M^D * integer_scale.
+    kernel's `_lift_plan`, each row its parent times one form.  The rows
+    up to deg p are a prefix in the order of p's `integer_coeffs`, and
+    the sum of c_e * M^(D-|e|) * row_e over that prefix is p's result
+    times den = M^D * integer_scale.
     """
     n = len(base)
     if any(p.nvars != n for p in polys) or any(len(d) != n for d in directions):
@@ -755,24 +748,25 @@ def _substitution(
     steps = [(top + 1) ** k for k in range(len(directions))]
     # B_i at key 0, then each direction's U_ki at its parameter's key
     forms = [[(key, v) for key, v in zip((0, *steps), ints[i::n]) if v] for i in range(n)]
-    degree = max(top, 1)
+    exps = monomial_exponents(max(top, 1), n)
     rows = [{0: 1}]
-    for parent, var in _lift_plan(monomial_exponents(degree, n)):
+    for parent, var in _lift_plan(exps):
         row: dict[int, int] = {}
         for ka, va in rows[parent].items():
             for kb, vb in forms[var]:
                 key = ka + kb
                 row[key] = row.get(key, 0) + va * vb
         rows.append(row)
-    index = _row_index(degree, n)
+    sizes = [0, *map(sum, exps)]
     mpow = [m**k for k in range(top + 1)]
     results = []
     for p in polys:
         total: dict[int, int] = {}
-        for c, e, rest in p.integer_terms:
-            k = c * mpow[rest]
-            for key, v in rows[index[e]].items():
-                total[key] = total.get(key, 0) + k * v
+        for c, row, size in zip(p.integer_coeffs, rows, sizes):
+            if c:
+                k = c * mpow[p.degree - size]
+                for key, v in row.items():
+                    total[key] = total.get(key, 0) + k * v
         results.append((total, ONE if p.is_zero else mpow[p.degree] * p.integer_scale))
     return results
 
@@ -1254,13 +1248,12 @@ def _coeffs_in(q: SparsePoly, var: int) -> list[_ZX]:
     1) over Z[other variable]: entry d is the coefficient of var^d."""
     if q.nvars != 2:
         raise ValueError("expects a two-variable polynomial")
-    buckets: dict[int, dict[int, int]] = {}
-    for c, e, _ in q.integer_terms:
-        buckets.setdefault(e[var], {})[e[1 - var]] = c
-    out = []
-    for d in range(max(buckets) + 1):
-        bucket = buckets.get(d, {})
-        out.append(_ZX(bucket.get(i, 0) for i in range(max(bucket, default=-1) + 1)))
+    grid = [[0] * (q.degree + 1) for _ in range(q.degree + 1)]
+    for e, c in zip(_row_index(q.degree, 2), q.integer_coeffs):
+        grid[e[var]][e[1 - var]] = c
+    out = [_ZX(row) for row in grid]
+    while not out[-1]:
+        out.pop()
     return out
 
 

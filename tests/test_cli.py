@@ -188,6 +188,33 @@ def test_verify_bad_config(tmp_path):
     assert main(["verify", "--config", str(bad)]) == EXIT_INVARIANT
 
 
+def assert_one_error_line(capsys) -> str:
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert captured.out == ""
+    return lines[0]
+
+
+@pytest.mark.parametrize("command", ["count", "partition", "degeneracy", "verify"])
+@pytest.mark.parametrize("missing", [True, False])
+def test_unreadable_config(command, missing, tmp_path, capsys):
+    # A missing path or a directory is a bad configuration: exit 2, no traceback.
+    source = tmp_path / "absent.json" if missing else tmp_path
+    assert main([command, "--config", str(source), "--out", "-"]) == EXIT_INVARIANT
+    assert "cannot read configuration" in assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("kind", ["planted-rich-flat", "planted-rich-hyperplane", "mixed"])
+@pytest.mark.parametrize("value", ["0", "-5", "1"])
+def test_planted_rejects_small_range(kind, value, capsys):
+    # Planted kinds check --range like generic ones, before any draw.
+    argv = ["verify", "--kind", kind, "--range", value, "--L", "5", "--S", "3",
+            "--planted-lines", "2", "--planted-planes", "2", "--out", "-"]
+    assert main(argv) == EXIT_INVARIANT
+    assert "coordinate_range must be at least 2" in assert_one_error_line(capsys)
+
+
 def test_byte_determinism(tmp_path):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     argv = ["verify", "--kind", "generic", "--L", "15", "--S", "8", "--seed", "3"]

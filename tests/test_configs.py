@@ -18,7 +18,6 @@ from incidence4.configs import (
     gen_star,
     load_config,
     loads_config,
-    save_config,
 )
 from incidence4.counting import count_incidences, detect_rich_flat2, detect_rich_hyperplane
 from incidence4.flats import (
@@ -123,6 +122,15 @@ class TestPlanted:
         assert len(detect_rich_flat2(cfg.lines, 4)) == 1
         assert len(detect_rich_hyperplane(cfg.planes, 3)) == 1
 
+    @pytest.mark.parametrize("bound", [1, 0, -5])
+    def test_range_too_small(self, bound):
+        spec = GeneratorSpec(
+            GeneratorKind.MIXED, 5, 3, coordinate_range=bound,
+            planted_line_count=2, planted_plane_count=2,
+        )
+        with pytest.raises(RangeTooSmallError):
+            gen_planted(spec, seed=1)
+
     def test_zero_planted_is_generic_like(self):
         spec = GeneratorSpec(GeneratorKind.PLANTED_RICH_FLAT, num_lines=8, num_planes=4)
         cfg, truth = gen_planted(spec, seed=2)
@@ -135,7 +143,7 @@ class TestPersistence:
     def test_round_trip(self, tmp_path):
         cfg = gen_generic(6, 5, seed=3)
         path = tmp_path / "cfg.json"
-        save_config(cfg, path)
+        path.write_text(dumps_config(cfg), encoding="utf-8")
         loaded = load_config(path)
         assert loaded == cfg
         assert dumps_config(loaded) == dumps_config(cfg)
@@ -145,8 +153,14 @@ class TestPersistence:
             (Line4(("1/3", 0, 0, 0), ("-7/2", 1, 0, 0)),), (), None, "hand"
         )
         path = tmp_path / "r.json"
-        save_config(cfg, path)
+        path.write_text(dumps_config(cfg), encoding="utf-8")
         assert load_config(path) == cfg
+
+    @pytest.mark.parametrize("name", ["absent.json", ""])
+    def test_unreadable_source(self, tmp_path, name):
+        # a missing file or a directory
+        with pytest.raises(ParseError, match="cannot read configuration"):
+            load_config(tmp_path / name)
 
     def test_sample_fixture(self):
         cfg = load_config(FIXTURE)

@@ -23,7 +23,13 @@ import numpy as np
 import pytest
 
 from incidence4 import partition
-from incidence4.exactpoly import SparsePoly, compose_affine_all, restrict_all_to_line, sign_vectors
+from incidence4.exactpoly import (
+    SparsePoly,
+    _row_index,
+    compose_affine_all,
+    restrict_all_to_line,
+    sign_vectors,
+)
 from incidence4.flats import Flat2, Line4
 from incidence4.partition import (
     FlatInZeroSetError,
@@ -62,7 +68,8 @@ def test_stored_restrictions_are_pinned(stored):
     for fl, _ in flats:
         gs = compose_affine_all(part.factors, fl.base, (fl.u, fl.v))
         digest.update(json.dumps([
-            [sorted([list(e[:2]), c] for c, e, _ in g.integer_terms), str(g.integer_scale)]
+            [sorted([list(e), c] for e, c in zip(_row_index(g.degree, 2), g.integer_coeffs) if c),
+             str(g.integer_scale)]
             for g in gs
         ]).encode())
     assert digest.hexdigest() == RESTRICTIONS_SHA256

@@ -2,9 +2,9 @@
 
 `exactpoly._lift_matrix` builds each monomial column as an earlier one
 times one variable, in the dtype of the point matrix from
-`_point_matrix`, and `_dense_coefficients` lays a polynomial's integer
-coefficients out in the same order; the reference for both is the direct
-power product of every coordinate.  `_homogeneous_rows` clears every
+`_point_matrix`, and a polynomial's `integer_coeffs` are stored in the
+same order; the reference for both is the direct power product of every
+coordinate.  `_homogeneous_rows` clears every
 point once to P/m and lifts it once; a polynomial's sign at the point is
 a dot product of its coefficients with that row (`_row_signs`), and the
 reference is the sign of Fraction `SparsePoly.eval`.  Hypothesis draws
@@ -18,6 +18,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,13 +27,15 @@ from incidence4.configs import gen_star
 from incidence4.counting import classify_by_partition, count_incidences
 from incidence4.exactpoly import (
     SparsePoly,
-    _dense_coefficients,
+    UniPoly,
     _homogeneous_rows,
     _lift_matrix,
     _point_matrix,
+    _row_index,
     _row_signs,
     monomial_exponents,
     sign,
+    sign_vectors,
 )
 from incidence4.partition import PartitionParams, assign_cells, build_partition, round_cell_bound
 
@@ -108,18 +111,56 @@ def test_rows_are_homogenised_lifts(data, nvars, degree):
 
 @ORACLE
 @given(data=st.data(), nvars=nvars_st, degree=st.integers(1, 6))
-def test_dense_coefficients_against_power_products(data, nvars, degree):
-    """The coefficients dotted with the plain lift are f(x) times the
-    positive scale of the integer form, laid out up to degree f."""
+def test_integer_coeffs_against_power_products(data, nvars, degree):
+    """The stored coefficients dotted with the plain lift are f(x) times
+    the positive scale of the integer form."""
     f = data.draw(factors(degree, nvars))
     x = data.draw(points(nvars))
-    vec = _dense_coefficients(f)
-    assert len(vec) == len(monomial_exponents(max(f.degree, 1), nvars)) + 1
     scale = f.integer_scale
     assert scale > 0
-    assert all(c == scale * f.terms[e[:nvars]] for c, e, _ in f.integer_terms)
     lift = power_product_lift(x, monomial_exponents(degree, nvars))
-    assert sum(v * w for v, w in zip(vec, lift)) == scale * f.eval(x)
+    assert sum(v * w for v, w in zip(f.integer_coeffs, lift)) == scale * f.eval(x)
+
+
+@ORACLE
+@given(data=st.data(), nvars=st.integers(1, 4), degree=st.integers(0, 6))
+def test_integer_coeffs_layout(data, nvars, degree):
+    """`integer_coeffs` is the primitive form at the row positions of
+    `_row_index(deg f, nvars)`, zeros included, with a nonzero entry of
+    degree deg f; equality and hash ignore the order the terms came in."""
+    exponent = st.sampled_from(list(_row_index(degree, nvars)))
+    coefficient = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+    terms = data.draw(st.dictionaries(exponent, coefficient, max_size=10))
+    f = SparsePoly(nvars, terms)
+    index = _row_index(f.degree, nvars)
+    vec = f.integer_coeffs
+    assert len(vec) == len(index)
+    assert list(vec) == [f.integer_scale * F(terms.get(e, 0)) for e in index]
+    assert all(type(c) is int for c in vec)
+    assert math.gcd(*vec) == (1 if vec else 0)
+    assert f.is_zero or any(c for e, c in zip(index, vec) if sum(e) == f.degree)
+    if nvars == 1:
+        assert vec == UniPoly([terms.get((k,), 0) for k in range(degree + 1)]).integer_coeffs
+    g = SparsePoly(nvars, dict(data.draw(st.permutations(list(terms.items())))))
+    assert g == f and hash(g) == hash(f) and g.integer_coeffs == vec
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_zero_and_constant_rows(dtype):
+    """The zero polynomial is the empty vector, scale 1, degree -1, and
+    dots to zeros; a constant is one entry against the rows' first column."""
+    zero, const = SparsePoly.zero(4), SparsePoly.constant(4, F(-3, 7))
+    assert (zero.integer_coeffs, zero.integer_scale, zero.degree) == ((), 1, -1)
+    assert (const.integer_coeffs, const.integer_scale, const.degree) == ((-1,), F(7, 3), 0)
+    pts = [(1, -2, 3, 0), (0, 0, 0, 0), (-5, 4, 0, 2)]
+    rows = _lift_matrix(np.array(pts, dtype=dtype), monomial_exponents(2, 4))
+    assert rows.dtype == dtype
+    for f, want in ((zero, 0), (const, -1)):
+        got = _row_signs(f, rows)
+        assert got == [want] * 3 and all(type(s) is int for s in got)
+    mixed = pts + [(F(1, 2), 0, F(-1, 3), 1)]
+    assert sign_vectors((zero, const), mixed) == [(0, -1)] * 4
+    assert sign_vectors((zero,), mixed) == [(0,)] * 4
 
 
 @ORACLE

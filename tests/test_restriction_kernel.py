@@ -29,6 +29,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from incidence4.exactpoly import (
     SparsePoly,
     UniPoly,
+    _row_index,
     _substitution,
     bezout_point_check,
     compose_affine,
@@ -114,10 +115,11 @@ def check_form(f) -> None:
         assert tuple(c * f.integer_scale for c in f.coeffs) == ints
         back = UniPoly(f.coeffs)
     else:
-        ints = [c for c, _, _ in f.integer_terms]
-        for c, e, rest in f.integer_terms:
-            assert c == f.terms[e[: f.nvars]] * f.integer_scale
-            assert rest == f.degree - sum(e)
+        ints = f.integer_coeffs
+        index = _row_index(f.degree, f.nvars)
+        assert len(ints) == len(index)
+        assert all(c == f.terms.get(e, 0) * f.integer_scale for e, c in zip(index, ints))
+        assert not ints or any(c for e, c in zip(index, ints) if sum(e) == f.degree)
         back = SparsePoly(f.nvars, f.terms)
     assert math.gcd(*ints) == (1 if ints else 0)
     assert f.integer_scale > 0 and (ints or f.integer_scale == 1)

@@ -86,15 +86,12 @@ def test_constant_and_zero_polys(value, x):
 
 def test_integer_form_is_primitive_and_positive():
     p = SparsePoly(2, {(1, 0): F(-3, 4), (0, 2): F(9, 8), (0, 0): F(3, 2)})
-    # 8 * (-3/4, 9/8, 3/2) = (-6, 9, 12), divided by their gcd 3
-    assert sorted(p.integer_terms) == [
-        (-2, (1, 0, 0, 0), 1),
-        (3, (0, 2, 0, 0), 0),
-        (4, (0, 0, 0, 0), 2),
-    ]
+    # 8 * (-3/4, 9/8, 3/2) = (-6, 9, 12), divided by their gcd 3, in the
+    # graded order 1, x1, x2, x1^2, x1*x2, x2^2
+    assert p.integer_coeffs == (4, -2, 0, 0, 0, 3)
     assert p.integer_scale == F(8, 3)
     assert SparsePoly.from_integers(2, {(1, 0): -6, (0, 2): 9, (0, 0): 12}, 8) == p
-    assert SparsePoly.zero(4).integer_terms == ()
+    assert SparsePoly.zero(4).integer_coeffs == ()
     assert SparsePoly.zero(4).integer_scale == 1
 
 

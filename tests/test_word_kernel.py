@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from incidence4 import exactpoly, partition
+from incidence4 import partition
 from incidence4.exactpoly import (
     SparsePoly,
     _dots,
@@ -111,7 +111,7 @@ def test_signs_near_the_lift_bound(data, nvars, degree):
     x = _point_matrix(pts, degree)
     rows = _lift_matrix(x, exps) if x.dtype == np.int64 else _homogeneous_rows(pts, degree)
     python_rows = [power_product_lift(p, exps) for p in pts]
-    vec = exactpoly._dense_coefficients(f)
+    vec = f.integer_coeffs
     assert _dots(rows, vec) == python_dots(python_rows, vec)
     signs = _row_signs(f, rows)
     assert signs == [sign(f.eval(p)) for p in pts]
@@ -314,7 +314,7 @@ def test_no_numpy_integer_reaches_exact_code(monkeypatch):
     part = build_partition(pts, PartitionParams(4, F(1, 10)), seed=4)
     assert seen["sweeps"] and seen["anchored"]
     for f in part.factors:
-        assert all(type(c) is int for c, _, _ in f.integer_terms)
+        assert all(type(c) is int for c in f.integer_coeffs)
     tally = assign_cells(pts, part)
     assert all(all_int(sv) for sv in tally)
     plain = [tuple(int(v) for v in p) for p in pts]
