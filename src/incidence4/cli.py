@@ -65,6 +65,10 @@ class ExperimentSpec:
     degree: int = 2
     strict: bool = False
 
+    def __post_init__(self):
+        if self.degree < 2:  # as BoundParams checks it for `bounds --D`
+            raise ValueError("surface degree must be at least 2")
+
 
 @dataclass(frozen=True)
 class ExperimentReport:

@@ -53,12 +53,15 @@ and each is exact because it only multiplies by positive constants:
                   `compose_affine` (the shift back p(x - shift) of each
                   bisection factor in `partition`) are one-polynomial
                   calls of the same kernel.
-  `_sign_at`      the sign of an integer univariate polynomial at
-                  x = p/q (q > 0): the sum of c_i p^i q^(n-i), by
-                  homogeneous Horner, is g(x) times q^n.  Root isolation,
-                  refinement and comparison and the line cell profile
-                  decide every sign this way; `UniPoly.eval` is left for
-                  the uses that need values.
+  `_sign_at`      the sign of an integer univariate polynomial at p/q
+                  for ints p and q > 0: the sum of c_i p^i q^(n-i), by
+                  homogeneous Horner, is g(p/q) times q^n.  Root
+                  isolation, refinement, comparison and merging pass a
+                  dyadic a/2^s as (a, 2^s) (as (a*2^-s, 1) when s < 0);
+                  `UniPoly.sign_at`, for the line cell profile, and
+                  `IsolatedRoot.compare_to` pass a Fraction's numerator
+                  and denominator.  `UniPoly.eval` is left for the uses
+                  that need values.
 
 The univariate core works on those integer coefficients:
 
@@ -69,7 +72,9 @@ The univariate core works on those integer coefficients:
                   root bound, are mapped onto (0, 1), and each interval's
                   polynomial comes from its parent by a homothety by 2
                   and a Taylor shift by 1, all in ints.  Descartes' rule
-                  of signs is exact when it reports 0 or 1 roots.
+                  of signs is exact when it reports 0 or 1 roots.  Each
+                  interval (c/2^k, (c+1)/2^k) so found is the root's
+                  dyadic interval (c, k - K), kept in ints.
   certificates    with the prime p = CERTIFICATE_PRIME:
                   - square-free: if p does not divide lc(f) and
                     gcd(f mod p, f' mod p) = 1, f is square-free over Q.
@@ -100,6 +105,12 @@ Representations:
   UniPoly     = `integer_coeffs`, coprime ints, lowest degree first, no
                 trailing zeros, and `integer_scale`; `coeffs`, the
                 Fraction tuple, is derived on first read.
+  IsolatedRoot = the square-free integer polynomial and a dyadic
+                interval in ints: (a, s) is the exact root a/2^s or the
+                open interval (a/2^s, (a+1)/2^s), with the sign at a/2^s.
+                Refining halves it at (2a+1)/2^(s+1), and comparisons
+                shift two endpoints to one exponent; `lo` and `hi`, the
+                Fraction endpoints, are built only when read.
 
 The zero polynomial has no coefficients, scale 1 and degree -1.  Both
 forms are canonical (the positive constant that makes a rational
@@ -116,7 +127,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -631,7 +641,7 @@ class UniPoly:
 
     def sign_at(self, x) -> int:
         """Exact sign at the rational x (see `_sign_at`)."""
-        return _sign_at(self.integer_coeffs, x)
+        return _sign_at(self.integer_coeffs, x.numerator, x.denominator)
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
         n = max(len(self.coeffs), len(other.coeffs))
@@ -657,12 +667,11 @@ class UniPoly:
     __rmul__ = __mul__
 
 
-def _sign_at(cs: Sequence[int], x) -> int:
-    """Sign of the integer polynomial cs at the rational x = p/q (q > 0):
-    the sign of sum c_i p^i q^(n-i), by homogeneous Horner."""
+def _sign_at(cs: Sequence[int], p: int, q: int) -> int:
+    """Sign of the integer polynomial cs at the rational p/q (ints,
+    q > 0): the sign of sum c_i p^i q^(n-i), by homogeneous Horner."""
     if not cs:
         return 0
-    p, q = x.numerator, x.denominator
     total, qk = cs[-1], 1
     for c in cs[-2::-1]:
         qk *= q
@@ -1033,23 +1042,21 @@ def _unit_roots(q: list[int], lo_root: bool) -> list[tuple[int, int, bool]]:
     return out
 
 
-def _dyadic(c: int, e: int) -> Fraction:
-    return Fraction(c << e) if e >= 0 else Fraction(c, 1 << -e)
-
-
-def _real_root_intervals(cs: tuple[int, ...]) -> list[tuple[Fraction, Fraction]]:
-    """Sorted isolating intervals (lo, hi) of the real roots of a
-    square-free integer polynomial; lo == hi for a root found exactly.
+def _real_root_intervals(cs: tuple[int, ...]) -> list[tuple[int, int, bool]]:
+    """Sorted dyadic isolating intervals of the real roots of a
+    square-free integer polynomial: (a, s, exact) per root, as in
+    `IsolatedRoot`.
 
     Every root has modulus below 2^K by Fujiwara's bound, so the roots
     in (0, 2^K) of cs and of cs(-x) are isolated on the unit interval
-    after scaling x by 2^K.
+    after scaling x by 2^K; the unit interval (c/2^k, (c+1)/2^k) is the
+    root interval (c/2^(k-K), (c+1)/2^(k-K)), mirrored for cs(-x).
     """
     zero = cs[0] == 0
     if zero:
         cs = cs[1:]
-    neg: list[tuple[Fraction, Fraction]] = []
-    pos: list[tuple[Fraction, Fraction]] = []
+    neg: list[tuple[int, int, bool]] = []
+    pos: list[tuple[int, int, bool]] = []
     n = len(cs) - 1
     if n > 0:
         top = abs(cs[-1]).bit_length()
@@ -1060,69 +1067,134 @@ def _real_root_intervals(cs: tuple[int, ...]) -> list[tuple[Fraction, Fraction]]
             g = [c if sgn > 0 or i % 2 == 0 else -c for i, c in enumerate(cs)]  # g(x) = cs(sgn*x)
             q = [c << (K * i) if K >= 0 else c << (-K * (n - i)) for i, c in enumerate(g)]
             for c, k, exact in _unit_roots(q, zero):
-                lo = _dyadic(c, K - k)
-                hi = lo if exact else _dyadic(c + 1, K - k)
-                out.append((lo, hi) if sgn > 0 else (-hi, -lo))
-    return neg[::-1] + [(ZERO, ZERO)] * zero + pos
+                a = c if sgn > 0 or exact else c + 1
+                out.append((sgn * a, k - K, exact))
+    return neg[::-1] + [(0, 0, True)] * zero + pos
 
 
 # ---------------------------------------------------------------------------
 # Isolated real roots: counting, comparison, merging
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IsolatedRoot:
-    """One distinct real root of a square-free integer polynomial.
+def _ratio(a: int, s: int) -> tuple[int, int]:
+    """(p, q) with p/q = a/2^s and q > 0, as `_sign_at` and `Fraction`
+    take them."""
+    return (a, 1 << s) if s >= 0 else (a << -s, 1)
 
-    `coeffs` holds the polynomial (primitive, lowest degree first).
-    Either lo == hi and the root is that exact rational, or
-    `lo < root < hi` with the polynomial nonzero of opposite signs at lo
-    and hi; `lo_sign` carries the sign at lo, 0 exactly for an exact root
-    (interval endpoints are never roots), so no step re-evaluates it and
-    `is_exact` reads it.
+
+def _cmp_dyadic(a: int, s: int, b: int, t: int) -> int:
+    """-1, 0, +1 for a/2^s <, =, > b/2^t: both shifted to one exponent."""
+    if s < t:
+        a <<= t - s
+    else:
+        b <<= s - t
+    return (a > b) - (a < b)
+
+
+class IsolatedRoot:
+    """One distinct real root of a square-free integer polynomial, in
+    integers: `IsolatedRoot(coeffs, a, s, lo_sign)`.
+
+    `coeffs` holds the polynomial (primitive, lowest degree first).  An
+    exact root is the dyadic rational a/2^s, and `lo_sign` is 0.
+    Otherwise the root is the only one in the open interval
+    (a/2^s, (a+1)/2^s), whose endpoints are not roots, and `lo_sign` is
+    the polynomial's sign at a/2^s (the opposite one holds at
+    (a+1)/2^s), so no step re-evaluates it.  `s` is any int; it is
+    negative for an interval wider than 1.  Descartes bisection makes
+    only dyadic intervals, and refining, comparing and merging roots
+    shift two endpoints to one exponent, so they run in ints alone.
+
+    `lo` and `hi` are the endpoints' Fraction views (lo == hi for an
+    exact root), built on each read.  Equality and the hash follow the
+    root's polynomial and its interval, or its value when exact, so an
+    exact root at (a, s) equals the one at (2a, s + 1).  Immutable by
+    convention.
     """
 
-    coeffs: tuple[int, ...]
-    lo: Fraction
-    hi: Fraction
-    lo_sign: int = field(compare=False)
+    __slots__ = ("coeffs", "a", "s", "lo_sign")
+
+    def __init__(self, coeffs: tuple[int, ...], a: int, s: int, lo_sign: int):
+        self.coeffs = coeffs
+        self.a = a
+        self.s = s
+        self.lo_sign = lo_sign
 
     @property
     def is_exact(self) -> bool:
         return self.lo_sign == 0
 
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(*_ratio(self.a, self.s))
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(*_ratio(_hi(self), self.s))
+
+    def _key(self) -> tuple:
+        a, s = self.a, self.s
+        if self.is_exact:  # a odd, or a/2^s = 0/2^0
+            k = (a & -a).bit_length() - 1 if a else s
+            a, s = a >> k, s - k
+        return self.coeffs, a, s, self.is_exact
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, IsolatedRoot):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"IsolatedRoot({self.coeffs!r}, {self.a}, {self.s}, {self.lo_sign})"
+
+    def _compare_ratio(self, p: int, q: int) -> int:
+        """-1, 0, +1 for root <, =, > p/q (q > 0)."""
+        lp, lq = _ratio(self.a, self.s)
+        lo = lp * q - p * lq  # the sign of lo - p/q
+        if self.is_exact:
+            return (lo > 0) - (lo < 0)
+        if lo >= 0:
+            return 1
+        hp, hq = _ratio(self.a + 1, self.s)
+        if hp * q <= p * hq:
+            return -1
+        v = _sign_at(self.coeffs, p, q)
+        if v == 0:
+            return 0
+        return 1 if v == self.lo_sign else -1
+
     def compare_to(self, c) -> int:
         """-1, 0, +1 for root <, =, > the rational c."""
         c = rat(c)
-        if self.is_exact:
-            return sign(self.lo - c)
-        if c <= self.lo:
-            return 1
-        if c >= self.hi:
-            return -1
-        s = _sign_at(self.coeffs, c)
-        if s == 0:
-            return 0
-        return 1 if s == self.lo_sign else -1
+        return self._compare_ratio(c.numerator, c.denominator)
 
     def refined(self) -> "IsolatedRoot":
-        """Halve the isolating interval (or discover the root exactly)."""
+        """Halve the isolating interval at its midpoint (2a+1)/2^(s+1),
+        or find the root there exactly."""
         if self.is_exact:
             return self
-        mid = (self.lo + self.hi) / 2
-        s = _sign_at(self.coeffs, mid)
-        if s == 0:
-            return IsolatedRoot(self.coeffs, mid, mid, 0)
-        if s == self.lo_sign:
-            return IsolatedRoot(self.coeffs, mid, self.hi, s)
-        return IsolatedRoot(self.coeffs, self.lo, mid, self.lo_sign)
+        mid, s = 2 * self.a + 1, self.s + 1
+        v = _sign_at(self.coeffs, *_ratio(mid, s))
+        if v == 0:
+            return IsolatedRoot(self.coeffs, mid, s, 0)
+        if v == self.lo_sign:
+            return IsolatedRoot(self.coeffs, mid, s, v)
+        return IsolatedRoot(self.coeffs, mid - 1, s, self.lo_sign)
+
+
+def _hi(r: IsolatedRoot) -> int:
+    """The numerator of r's upper endpoint over 2^r.s."""
+    return r.a + (r.lo_sign != 0)
 
 
 def _separate(roots: list[IsolatedRoot]) -> list[IsolatedRoot]:
     """Refine sorted roots until consecutive intervals leave a gap."""
     for i in range(len(roots) - 1):
         a, b = roots[i], roots[i + 1]
-        while not a.hi < b.lo:
+        while _cmp_dyadic(_hi(a), a.s, b.a, b.s) >= 0:
             a, b = a.refined(), b.refined()
         roots[i], roots[i + 1] = a, b
     return roots
@@ -1139,9 +1211,9 @@ def isolate_real_roots(f: UniPoly) -> list[IsolatedRoot]:
     cs = _square_free(f.integer_coeffs)
     if len(cs) <= 1:
         return []
-    # An exact root has lo == hi, where the sign is 0.
     return _separate([
-        IsolatedRoot(cs, lo, hi, _sign_at(cs, lo)) for lo, hi in _real_root_intervals(cs)
+        IsolatedRoot(cs, a, s, 0 if exact else _sign_at(cs, *_ratio(a, s)))
+        for a, s, exact in _real_root_intervals(cs)
     ])
 
 
@@ -1159,18 +1231,21 @@ def _compare(a: IsolatedRoot, b: IsolatedRoot, factor) -> tuple[int, IsolatedRoo
     checked = False
     while True:
         if a.is_exact:
-            return -b.compare_to(a.lo), a, b
+            return -b._compare_ratio(*_ratio(a.a, a.s)), a, b
         if b.is_exact:
-            return a.compare_to(b.lo), a, b
-        if a.hi <= b.lo:
+            return a._compare_ratio(*_ratio(b.a, b.s)), a, b
+        if _cmp_dyadic(_hi(a), a.s, b.a, b.s) <= 0:
             return -1, a, b
-        if b.hi <= a.lo:
+        if _cmp_dyadic(_hi(b), b.s, a.a, a.s) <= 0:
             return 1, a, b
         if not checked:
             checked = True
             h = factor()
-            if h is not None and _sign_at(h, max(a.lo, b.lo)) != _sign_at(h, min(a.hi, b.hi)):
-                return 0, a, b
+            if h is not None:
+                lo = a if _cmp_dyadic(a.a, a.s, b.a, b.s) >= 0 else b
+                hi = a if _cmp_dyadic(_hi(a), a.s, _hi(b), b.s) <= 0 else b
+                if _sign_at(h, *_ratio(lo.a, lo.s)) != _sign_at(h, *_ratio(_hi(hi), hi.s)):
+                    return 0, a, b
         a, b = a.refined(), b.refined()
 
 
@@ -1224,19 +1299,24 @@ def sample_points_between_roots(roots: Sequence[IsolatedRoot]) -> list[Fraction]
     strictly between its neighbouring roots (or beyond the extremes).
     The roots are disjoint and sorted (`_separate`), so an interval
     endpoint or the midpoint of a gap is off the root set; a unit step
-    is taken only outward from an exact extreme root.
+    is taken only outward from an exact extreme root.  Each sample is
+    chosen in ints and becomes a Fraction once.
     """
     if not roots:
         return [ZERO]
-    pts = [roots[0].lo - (1 if roots[0].is_exact else 0)]
+    p, q = _ratio(roots[0].a, roots[0].s)
+    pts = [(p - q * roots[0].is_exact, q)]
     for left, right in zip(roots, roots[1:]):
-        lo, hi = left.hi, right.lo
-        if not lo < hi:
+        lo, hi = (_hi(left), left.s), (right.a, right.s)
+        if _cmp_dyadic(*lo, *hi) >= 0:
             raise AssertionError("isolating intervals must be disjoint")
-        pts.append((lo + hi) / 2 if left.is_exact or right.is_exact else lo)
-    last = roots[-1]
-    pts.append(last.hi + (1 if last.is_exact else 0))
-    return pts
+        if left.is_exact or right.is_exact:  # the midpoint, over 2^(t+1)
+            t = max(lo[1], hi[1])
+            lo = ((lo[0] << (t - lo[1])) + (hi[0] << (t - hi[1])), t + 1)
+        pts.append(_ratio(*lo))
+    p, q = _ratio(_hi(roots[-1]), roots[-1].s)
+    pts.append((p + q * roots[-1].is_exact, q))
+    return [Fraction(p, q) for p, q in pts]
 
 
 # ---------------------------------------------------------------------------

@@ -215,6 +215,14 @@ def test_planted_rejects_small_range(kind, value, capsys):
     assert "coordinate_range must be at least 2" in assert_one_error_line(capsys)
 
 
+@pytest.mark.parametrize("value", ["0", "1", "-5"])
+def test_verify_rejects_small_degree(value, capsys):
+    # `verify --D` below 2 is rejected before any draw, as `bounds --D` is.
+    argv = ["verify", "--kind", "generic", "--L", "3", "--S", "2", "--D", value, "--out", "-"]
+    assert main(argv) == EXIT_INVARIANT
+    assert assert_one_error_line(capsys) == "error: surface degree must be at least 2"
+
+
 def test_byte_determinism(tmp_path):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     argv = ["verify", "--kind", "generic", "--L", "15", "--S", "8", "--seed", "3"]

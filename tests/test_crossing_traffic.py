@@ -8,7 +8,12 @@ written, and rebuilt through `SparsePoly`, `Line4` and `Flat2`.
 
 The restrictions of all 8 factors to every stored object, through one
 lift per object, are pinned by a SHA-256 recorded when each factor still
-lifted the object on its own.  `flat2_crossing_stats` scores its lattice
+lifted the object on its own.  Each stored line's profile (root count,
+samples and sign vectors) and the number of interval halvings it takes
+are pinned from when isolated roots still held Fraction endpoints; the
+roots of every stored restriction are isolated and merged with
+`exactpoly.Fraction`, `exactpoly.rat`, the `lo`/`hi` views and Fraction
+arithmetic and ordering all raising.  `flat2_crossing_stats` scores its lattice
 points on rows built once per (sample_budget, degree); the tests check
 that a warm call builds none and gives the cold call's counts.
 """
@@ -22,12 +27,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from incidence4 import partition
+from incidence4 import exactpoly, partition
 from incidence4.exactpoly import (
+    IsolatedRoot,
     SparsePoly,
     _row_index,
     compose_affine_all,
+    isolate_real_roots,
+    merge_real_roots,
     restrict_all_to_line,
+    sample_points_between_roots,
     sign_vectors,
 )
 from incidence4.flats import Flat2, Line4
@@ -36,6 +45,7 @@ from incidence4.partition import (
     LineInZeroSetError,
     PartitionPolynomial,
     flat2_crossing_stats,
+    line_cell_profile,
     line_crossing_stats,
 )
 
@@ -44,6 +54,11 @@ DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 # SHA-256 of the restrictions below, from one `restrict_to_line` or
 # `restrict_to_flat2` call per factor and object.
 RESTRICTIONS_SHA256 = "696385865ef10faabfae9e728c58b0f32242c19dde52a01eee660836a3e34c9f"
+
+# SHA-256 of (root count, samples, sign vectors) of `line_cell_profile`
+# on every stored line, and the `IsolatedRoot.refined` calls they make.
+PROFILES_SHA256 = "55d01eca31acfe3bfdb916f2d3b8d994cf074ab8f7f8f6a05ce3d1655f100ba5"
+PROFILE_REFINEMENTS = 27_518
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +95,65 @@ def test_stored_line_answers(stored):
     for k, (ln, want) in enumerate(lines):
         stats = line_crossing_stats(ln, part)
         assert (stats.distinct_cells, stats.zero_set_hits) == want, f"line {k}"
+
+
+def test_stored_line_profiles_are_pinned(stored, monkeypatch):
+    part, lines, _ = stored
+    calls = []
+    halve = IsolatedRoot.refined
+
+    def counted(root):
+        calls.append(None)
+        return halve(root)
+
+    monkeypatch.setattr(IsolatedRoot, "refined", counted)
+    digest = hashlib.sha256()
+    for ln, _ in lines:
+        roots, samples, vectors = line_cell_profile(ln, part)
+        digest.update(json.dumps([len(roots), [str(t) for t in samples], vectors]).encode())
+    assert digest.hexdigest() == PROFILES_SHA256
+    assert len(calls) == PROFILE_REFINEMENTS
+
+
+def _forbidden(*_):
+    raise AssertionError("the root layer must not make or read a Fraction")
+
+
+FRACTION_OPERATORS = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__lt__", "__le__", "__gt__", "__ge__",
+)
+
+
+def test_root_layer_builds_no_fraction(stored, monkeypatch):
+    """Isolate and merge every stored line's restrictions with Fractions
+    forbidden in `exactpoly`, then take the samples: each leaves as a
+    Fraction built once from its integer pair, with no Fraction
+    arithmetic or comparison, and they are `line_cell_profile`'s."""
+    part, lines, _ = stored
+    work = [
+        ([r for r in restrict_all_to_line(part.factors, ln) if r.degree >= 1],
+         line_cell_profile(ln, part)[1])
+        for ln, _ in lines
+    ]
+    built = []
+
+    def build(*args):
+        built.append(args)
+        return F(*args)
+
+    with monkeypatch.context() as m:
+        for name in FRACTION_OPERATORS:
+            m.setattr(F, name, _forbidden)
+        m.setattr(IsolatedRoot, "lo", property(_forbidden))
+        m.setattr(IsolatedRoot, "hi", property(_forbidden))
+        m.setattr(exactpoly, "rat", _forbidden)
+        m.setattr(exactpoly, "Fraction", _forbidden)
+        merged = [merge_real_roots([isolate_real_roots(r) for r in rs]) for rs, _ in work]
+        m.setattr(exactpoly, "Fraction", build)
+        samples = [sample_points_between_roots(roots) for roots in merged]
+    assert len(built) == sum(map(len, samples))
+    assert samples == [want for _, want in work]
 
 
 def test_stored_flat_counts_within_bounds(stored):

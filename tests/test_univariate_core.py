@@ -7,6 +7,13 @@ oracles are sympy's Sturm counts, gcds, square-free parts and
 resultants.  The fallback tests build inputs on which each certificate
 must fail, and check that the exact subresultant gcd ran and that the
 answer is still right.
+
+Isolated roots are dyadic: (a, s) with the root a/2^s or inside
+(a/2^s, (a+1)/2^s).  Products of linear factors q*x - p, with dyadic and
+other roots, a root at 0, repeated factors, roots shared between
+polynomials and roots large enough that s < 0, are checked end to end
+(isolation, merging, samples, `compare_to`) against sympy's root counts,
+and every `lo`/`hi` view against a/2^s and (a+1)/2^s in sympy.
 """
 
 from fractions import Fraction as F
@@ -22,6 +29,7 @@ from incidence4.exactpoly import (
     merge_real_roots,
     poly2,
     resultant_bivariate,
+    sample_points_between_roots,
 )
 
 sp = pytest.importorskip("sympy")
@@ -122,6 +130,105 @@ def test_merge_matches_sympy(fs):
     for f in fs:
         product *= to_sympy(f)
     check_isolation(merged, product)
+
+
+# ---------------------------------------------------------------------------
+# Dyadic roots of products of linear factors
+# ---------------------------------------------------------------------------
+
+@st.composite
+def linear_factors(draw):
+    """(p, q) of the factor q*x - p, q > 0: a dyadic root, another
+    rational root, the root 0, or a root of modulus up to 10^9."""
+    kind = draw(st.sampled_from(("dyadic", "rational", "zero", "large")))
+    if kind == "zero":
+        return 0, 1
+    if kind == "dyadic":
+        return draw(st.integers(-40, 40)), 2 ** draw(st.integers(0, 6))
+    if kind == "rational":
+        return draw(st.integers(-40, 40)), draw(st.sampled_from((3, 5, 7, 9, 11)))
+    return draw(st.integers(-10**9, 10**9)), draw(st.integers(1, 7))
+
+
+@st.composite
+def factor_products(draw):
+    """(2-4 polynomials, their roots): each polynomial a product over a
+    subset of one shared pool of linear factors, with multiplicities 1-3."""
+    pool = draw(st.lists(linear_factors(), min_size=1, max_size=5))
+    polys, roots = [], set()
+    for _ in range(draw(st.integers(2, 4))):
+        f = UniPoly.constant(draw(st.integers(1, 10**6)))
+        for p, q in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4)):
+            roots.add(F(p, q))
+            for _ in range(draw(st.integers(1, 3))):
+                f = f * UniPoly((-p, q))
+        polys.append(f)
+    return polys, roots
+
+
+def check_dyadic_views(roots) -> None:
+    for r in roots:
+        lo = sp.Integer(r.a) / sp.Integer(2) ** r.s
+        hi = lo if r.is_exact else sp.Integer(r.a + 1) / sp.Integer(2) ** r.s
+        assert (rational(r.lo), rational(r.hi)) == (lo, hi)
+
+
+def check_comparisons(roots, poly, points) -> None:
+    """`compare_to` against the k-th root: below it lie exactly k roots."""
+    for c in points:
+        at = poly.eval(rational(c)) == 0
+        below = poly.count_roots(None, rational(c)) - at
+        for k, r in enumerate(roots):
+            want = -1 if k < below else 0 if (at and k == below) else 1
+            assert r.compare_to(c) == want
+
+
+def check_samples(samples, roots, poly) -> None:
+    """k+1 increasing samples off the roots, one root between neighbours."""
+    assert len(samples) == len(roots) + 1
+    assert all(poly.eval(rational(t)) != 0 for t in samples)
+    assert poly.count_roots(None, rational(samples[0])) == 0
+    assert poly.count_roots(rational(samples[-1]), None) == 0
+    for lo, hi in zip(samples, samples[1:]):
+        assert lo < hi and poly.count_roots(rational(lo), rational(hi)) == 1
+
+
+@ORACLE
+@given(drawn=factor_products(), extra=st.lists(st.fractions(-50, 50, max_denominator=16), max_size=4))
+def test_dyadic_roots_of_factor_products_match_sympy(drawn, extra):
+    fs, true_roots = drawn
+    product = sp.Poly(1, x)
+    per_poly = []
+    for f in fs:
+        roots = isolate_real_roots(f)
+        check_isolation(roots, to_sympy(f))
+        check_dyadic_views(roots)
+        per_poly.append(roots)
+        product *= to_sympy(f)
+    merged = merge_real_roots(per_poly)
+    check_isolation(merged, product)
+    check_dyadic_views(merged)
+    samples = sample_points_between_roots(merged)
+    check_samples(samples, merged, product)
+    check_comparisons(merged, product, [*samples, *true_roots, *extra])
+
+
+def test_large_roots_take_negative_exponents():
+    """Roots far beyond 1 start on intervals wider than 1 (s < 0); an
+    exact root found there keeps its exponent and equals its reduced
+    form."""
+    f = UniPoly.from_roots([-3 * 10**9, 2**40, F(10**9, 3)])
+    roots = isolate_real_roots(f)
+    check_isolation(roots, to_sympy(f))
+    check_dyadic_views(roots)
+    assert any(r.s < 0 for r in roots)
+    exact = next(r for r in roots if r.is_exact)
+    assert exact.lo == 2**40 and exact.s < 0
+    twin = exactpoly.IsolatedRoot(exact.coeffs, exact.a << 3, exact.s + 3, 0)
+    assert twin == exact and hash(twin) == hash(exact)
+    assert exactpoly.IsolatedRoot(exact.coeffs, exact.a, exact.s, 1) != exact
+    check_samples(sample_points_between_roots(roots), roots, to_sympy(f))
+    check_comparisons(roots, to_sympy(f), [0, 2**40, 2**40 + 1, F(10**9, 3), -3 * 10**9])
 
 
 @ORACLE
