@@ -359,6 +359,15 @@ def _out_path(args, default_name: str) -> Path | None:
     return None
 
 
+def rational(text: str) -> Fraction:
+    """An exact rational flag value such as 1/10 (a zero denominator is
+    a ValueError, so argparse and `main` both report it as an error)."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"bad rational {text!r}: zero denominator") from None
+
+
 def _emit(text: str, path: Path | None) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -375,9 +384,9 @@ _FLAGS = {
     "--L": dict(type=int, default=None, help="number of lines (default 10)"),
     "--S": dict(type=int, default=None, help="number of planes (default 5)"),
     "--D": dict(type=int, default=2),
-    "--epsilon": dict(type=Fraction, default=Fraction(1, 10), help="exact rational, e.g. 1/10"),
+    "--epsilon": dict(type=rational, default=Fraction(1, 10), help="exact rational, e.g. 1/10"),
     "--J": dict(type=int, default=None, help="partition rounds"),
-    "--delta": dict(type=Fraction, default=Fraction(1, 10)),
+    "--delta": dict(type=rational, default=Fraction(1, 10)),
     "--format": dict(choices=("text", "csv"), default="text"),
     "--strict": dict(action="store_true", help="out-of-regime hypotheses become exit code 3"),
     "--config": dict(required=True),
@@ -442,9 +451,9 @@ def build_parser() -> argparse.ArgumentParser:
     bounds_p = _subcommand(sub, "bounds", "evaluate every closed-form bound",
                            "--L", "--S", "--D", "--epsilon", "--format", "--strict")
     bounds_p.set_defaults(L=10, S=5)
-    bounds_p.add_argument("--c1", type=Fraction, default=Fraction(1))
-    bounds_p.add_argument("--c2", type=Fraction, default=Fraction(1))
-    bounds_p.add_argument("--c4", type=Fraction, default=Fraction(1))
+    bounds_p.add_argument("--c1", type=rational, default=Fraction(1))
+    bounds_p.add_argument("--c2", type=rational, default=Fraction(1))
+    bounds_p.add_argument("--c4", type=rational, default=Fraction(1))
 
     grid = _subcommand(sub, "grid", "bound table over a parameter grid")
     grid.add_argument("--L-list", default="1000,10000")
@@ -536,7 +545,7 @@ def _dispatch(args) -> int:
     if args.command == "grid":
         l_values = [int(v) for v in args.L_list.split(",") if v]
         d_values = [int(v) for v in args.D_list.split(",") if v]
-        eps_values = [Fraction(v) for v in args.epsilon_list.split(",") if v]
+        eps_values = [rational(v) for v in args.epsilon_list.split(",") if v]
         if args.S_list == "auto":
             s_for = log_spaced_s
         else:
@@ -562,7 +571,7 @@ def _dispatch(args) -> int:
         spec = ExperimentSpec(
             generator,
             seed=seed,
-            partition=PartitionParams(args.J, args.delta) if args.J else None,
+            partition=PartitionParams(args.J, args.delta) if args.J is not None else None,
             partition_seed=args.seed,
             epsilon=args.epsilon,
             degree=args.D,

@@ -37,18 +37,21 @@ and each is exact because it only multiplies by positive constants:
                   polynomials in one number of variables
                   (`_substitution`).  Base and directions are cleared to
                   one denominator M, giving the integer linear forms
-                  B_i + sum_k t_k*U_ki.  The monomials in these forms up
-                  to the top degree K of the list are lifted once along
-                  the sign kernel's `_lift_plan`, each one an earlier
-                  monomial times one form, and every key is packed with
-                  the one stride K + 1; the rows up to deg p are a prefix,
-                  and the sum of c_e * M^(D-|e|) * monomial_e is p's
-                  result times M^D times its scale, so those integers
-                  with that constant are the result; nothing is divided.
+                  L_i = B_i + sum_k t_k*U_ki.  Each p of degree D is
+                  folded by multivariate Horner down the sign kernel's
+                  `_lift_plan` tree, whose node e is its parent's
+                  monomial times one form: node e starts at
+                  c_e * M^(D-|e|), and in reverse graded order each node,
+                  times its form, is added into its parent.  No monomial
+                  in the forms is built.  The root holds the sum of
+                  c_e * M^(D-|e|) * L^e, p's result times M^D times its
+                  scale, so those integers with that constant are the
+                  result; nothing is divided.  Every key is packed with
+                  the one stride K + 1 for the top degree K of the list.
                   The plural calls restrict all partition factors to a
                   line (`restrict_all_to_line`) or a 2-flat
                   (`compose_affine_all`) and shear both curves of
-                  `bezout_point_check`, q(x + lam*y, y), with one lift;
+                  `bezout_point_check`, q(x + lam*y, y), with one call;
                   `restrict_to_line`, `restrict_to_flat2` and
                   `compose_affine` (the shift back p(x - shift) of each
                   bisection factor in `partition`) are one-polynomial
@@ -694,7 +697,7 @@ def restrict_to_line(p: SparsePoly, ln) -> UniPoly:
 
 
 def restrict_all_to_line(polys: Sequence[SparsePoly], ln) -> list[UniPoly]:
-    """`restrict_to_line` of each polynomial, through one lift of the line."""
+    """`restrict_to_line` of each polynomial, the line cleared once."""
     if all(d == 0 for d in ln.direction):
         raise ValueError("line direction must be nonzero")
     if any(p.nvars != 4 for p in polys):
@@ -719,8 +722,8 @@ def compose_affine(p: SparsePoly, base, directions) -> SparsePoly:
 
 
 def compose_affine_all(polys: Sequence[SparsePoly], base, directions) -> list[SparsePoly]:
-    """`compose_affine` of each polynomial, through one lift of the
-    affine map; every key is unpacked with the shared stride."""
+    """`compose_affine` of each polynomial, the affine map cleared once;
+    every key is unpacked with the shared stride."""
     stride = max((p.degree for p in polys), default=0) + 1  # as in `_substitution`
     k = len(directions)
     return [
@@ -742,12 +745,13 @@ def _substitution(
     polynomial gives ({}, 1).
 
     Integer arithmetic throughout (see the module docstring): the point
-    is cleared to (B + sum_k t_k*U_k) / M, and the monomials up to K in
-    the forms B_i + sum_k t_k*U_ki are lifted once along the sign
-    kernel's `_lift_plan`, each row its parent times one form.  The rows
-    up to deg p are a prefix in the order of p's `integer_coeffs`, and
-    the sum of c_e * M^(D-|e|) * row_e over that prefix is p's result
-    times den = M^D * integer_scale.
+    is cleared to (B + sum_k t_k*U_k) / M, giving the forms
+    L_i = B_i + sum_k t_k*U_ki, and each p is folded by Horner down the
+    sign kernel's `_lift_plan` tree, whose node e is its parent's
+    monomial times one form.  Node e starts at c_e * M^(D-|e|); in
+    reverse graded order each node, times its form, is added into its
+    parent, so the root ends at the sum of c_e * M^(D-|e|) * L^e, p's
+    result times den = M^D * integer_scale.
     """
     n = len(base)
     if any(p.nvars != n for p in polys) or any(len(d) != n for d in directions):
@@ -758,25 +762,29 @@ def _substitution(
     # B_i at key 0, then each direction's U_ki at its parameter's key
     forms = [[(key, v) for key, v in zip((0, *steps), ints[i::n]) if v] for i in range(n)]
     exps = monomial_exponents(max(top, 1), n)
-    rows = [{0: 1}]
-    for parent, var in _lift_plan(exps):
-        row: dict[int, int] = {}
-        for ka, va in rows[parent].items():
-            for kb, vb in forms[var]:
-                key = ka + kb
-                row[key] = row.get(key, 0) + va * vb
-        rows.append(row)
+    links = [(parent, forms[var]) for parent, var in _lift_plan(exps)]
     sizes = [0, *map(sum, exps)]
     mpow = [m**k for k in range(top + 1)]
     results = []
     for p in polys:
-        total: dict[int, int] = {}
-        for c, row, size in zip(p.integer_coeffs, rows, sizes):
-            if c:
-                k = c * mpow[p.degree - size]
-                for key, v in row.items():
-                    total[key] = total.get(key, 0) + k * v
-        results.append((total, ONE if p.is_zero else mpow[p.degree] * p.integer_scale))
+        if p.is_zero:
+            results.append(({}, ONE))
+            continue
+        nodes: list = [{0: c * mpow[p.degree - size]} if c else None
+                       for c, size in zip(p.integer_coeffs, sizes)]
+        for k in range(len(nodes) - 1, 0, -1):
+            node = nodes[k]
+            if node:
+                parent, form = links[k - 1]
+                total = nodes[parent]
+                if total is None:
+                    total = nodes[parent] = {}
+                for kb, vb in form:
+                    for ka, va in node.items():
+                        key = ka + kb
+                        total[key] = total.get(key, 0) + va * vb
+        # an empty form (a coordinate 0 on the whole object) can leave the root None
+        results.append((nodes[0] or {}, mpow[p.degree] * p.integer_scale))
     return results
 
 

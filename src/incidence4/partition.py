@@ -16,8 +16,8 @@ search, from a unit, Newton or anchored direction, goes through one
 integer threshold sweep, and a certified factor is moved back to the
 input coordinates by the integer substitution kernel
 (`exactpoly.compose_affine`); no Fraction polynomial product runs.  The
-same kernel restricts all factors to a line or 2-flat through one lift
-of the object.
+same kernel restricts all factors to a line or 2-flat in one call per
+object, folding each factor down the lift tree.
 Every lifted row set is a 2-D numpy matrix (`_point_matrix`,
 `_lift_matrix`, `_dots`).  Int point sets whose shifted lift provably
 fits a machine word are shifted, lifted and scored in int64; every other

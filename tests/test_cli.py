@@ -223,6 +223,37 @@ def test_verify_rejects_small_degree(value, capsys):
     assert assert_one_error_line(capsys) == "error: surface degree must be at least 2"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--kind", "generic", "--L", "3", "--S", "2", "--epsilon", "1/0"],
+        ["verify", "--kind", "generic", "--L", "3", "--S", "2", "--J", "1", "--delta", "1/0"],
+        ["bounds", "--c1", "1/0"],
+        ["grid", "--epsilon-list", "1/2,1/0"],
+    ],
+)
+def test_zero_denominator_is_a_parse_error(argv, capsys):
+    # A rational with a zero denominator exits 2 with an error, not a ZeroDivisionError.
+    try:
+        code = main([*argv, "--out", "-"])
+    except SystemExit as exc:  # argparse rejects a bad `type=` value
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == EXIT_INVARIANT
+    assert "error: " in captured.err and "'1/0'" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_verify_zero_rounds_builds_the_empty_partition(capsys):
+    # `--J 0` is the 0-round partition, as in `partition --J 0`, not "no partition".
+    argv = ["verify", "--kind", "generic", "--L", "3", "--S", "2", "--J", "0", "--out", "-"]
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "partition: rounds=0 " in out
+    assert "\n## partition\nrounds: 0\n" in out
+
+
 def test_byte_determinism(tmp_path):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     argv = ["verify", "--kind", "generic", "--L", "15", "--S", "8", "--seed", "3"]

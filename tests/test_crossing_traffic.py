@@ -1,4 +1,4 @@
-"""The stored crossing traffic through the shared lift and the lattice rows.
+"""The stored crossing traffic through the substitution fold and the lattice rows.
 
 `perfbench/data/crossing_partition.json` holds the criterion-3 partition
 (8 factors of degrees 1, 1, 1, 2, 3, 4, 5, 6) and `golden.json` the 400
@@ -6,16 +6,17 @@ lines and 200 flats the crossing benchmark replays, each line with its
 exact (distinct cells, zero-set hits).  Both are read here, never
 written, and rebuilt through `SparsePoly`, `Line4` and `Flat2`.
 
-The restrictions of all 8 factors to every stored object, through one
-lift per object, are pinned by a SHA-256 recorded when each factor still
-lifted the object on its own.  Each stored line's profile (root count,
-samples and sign vectors) and the number of interval halvings it takes
-are pinned from when isolated roots still held Fraction endpoints; the
-roots of every stored restriction are isolated and merged with
-`exactpoly.Fraction`, `exactpoly.rat`, the `lo`/`hi` views and Fraction
-arithmetic and ordering all raising.  `flat2_crossing_stats` scores its lattice
-points on rows built once per (sample_budget, degree); the tests check
-that a warm call builds none and gives the cold call's counts.
+The restrictions of all 8 factors to every stored object, one Horner
+fold per factor down the lift-plan tree, are pinned by a SHA-256
+recorded when each factor still lifted the object on its own.  Each
+stored line's profile (root count, samples and sign vectors) and the
+number of interval halvings it takes are pinned from when isolated
+roots still held Fraction endpoints; the roots of every stored
+restriction are isolated and merged with `exactpoly.Fraction`,
+`exactpoly.rat`, the `lo`/`hi` views and Fraction arithmetic and
+ordering all raising.  `flat2_crossing_stats` scores its lattice points
+on rows built once per (sample_budget, degree); the tests check that a
+warm call builds none and gives the cold call's counts.
 """
 
 import hashlib

@@ -3,10 +3,15 @@
 One integer kernel computes every affine substitution p(base + sum t_k
 dir_k): `restrict_to_line` / `restrict_to_flat2`, the shift back
 p(x - shift) of a bisection factor and the shear q(x + lam*y, y) of the
-Bezout check.  Its plural calls (`restrict_all_to_line`,
-`compose_affine_all`) lift the object once for a list of polynomials and
-pack every key with the stride of the top degree; each result must equal
-the one-polynomial call.  It runs in Python ints on the stored integer form of the
+Bezout check.  It folds each polynomial by Horner down the lift-plan
+tree: every node starts at its coefficient, and each node times its
+linear form is added into its parent.  The `@example` cases pin the
+fold's corners: a single top-degree monomial (every ancestor node
+empty), axis-aligned objects (single-term forms) and Fraction bases.
+Its plural calls (`restrict_all_to_line`, `compose_affine_all`) clear
+the object once for a list of polynomials and pack every key with the
+stride of the top degree; each result must equal the one-polynomial
+call.  It runs in Python ints on the stored integer form of the
 polynomial and builds its result from integers and one positive
 constant.  The reference is `SparsePoly.substitute` with linear axes,
 which multiplies Fraction polynomials: the two builds must compare and
@@ -163,6 +168,12 @@ def vanishing_form(base, directions, extra):
 @example(p=dense_poly(6, 2), base=(F(1, 2), -3, 7, F(-5, 3)), direction=(2, F(1, 4), -1, 3))
 # Coordinate 1 is 0 on the whole line, so its linear form is empty.
 @example(p=dense_poly(6, 3), base=(4, 0, -2, F(1, 3)), direction=(1, 0, 5, -2))
+# One top-degree monomial: every ancestor node of the fold is empty.
+@example(p=SparsePoly(4, {(1, 2, 0, 3): F(-5, 7)}), base=(3, -1, 4, 2), direction=(1, -2, 3, 5))
+# Axis-aligned: every linear form is a single term (B_i, or t on axis 3).
+@example(p=dense_poly(6, 12), base=(2, -5, 0, 7), direction=(0, 0, 1, 0))
+# Fraction base: cleared to one denominator M = 60 > 1.
+@example(p=dense_poly(6, 13), base=(F(1, 3), F(-2, 5), F(7, 4), 1), direction=(2, 1, -1, 3))
 def test_line_matches_substitute(p, base, direction):
     ln = SimpleNamespace(base=base, direction=direction)
     assert_same(restrict_to_line(p, ln), substitute_line(p, base, direction))
@@ -174,6 +185,12 @@ def test_line_matches_substitute(p, base, direction):
 @example(p=dense_poly(6, 5), base=(F(3, 2), 1, -6, 2), u=(2, -1, F(1, 3), 0), v=(1, 4, 0, -2))
 # Coordinate 2 is 0 on the whole flat, so its linear form is empty.
 @example(p=dense_poly(6, 6), base=(-3, 5, 0, 1), u=(1, 2, 0, -1), v=(0, F(1, 2), 0, 3))
+# One top-degree monomial: every ancestor node of the fold is empty.
+@example(p=SparsePoly(4, {(0, 3, 2, 1): F(9, 4)}), base=(1, -2, 5, -3), u=(2, 1, 0, -1), v=(1, 0, 3, 4))
+# Axis-aligned: every linear form is a single term (B_i, a or b).
+@example(p=dense_poly(6, 14), base=(3, 0, -1, 0), u=(0, 1, 0, 0), v=(0, 0, 0, 2))
+# Fraction base: cleared to one denominator M = 42 > 1.
+@example(p=dense_poly(6, 15), base=(F(5, 6), -1, F(-3, 7), 2), u=(1, 2, 0, -1), v=(0, 1, -3, 4))
 def test_flat_matches_substitute(p, base, u, v):
     fl = SimpleNamespace(base=base, u=u, v=v)
     assert_same(restrict_to_flat2(p, fl), substitute_flat(p, base, u, v))
